@@ -32,7 +32,7 @@ from .intlattice import (
     xgcd,
 )
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, complement_basis, rref_basis, span_dim, span_equal
+from .matrix import Matrix, Q, complement_basis, rref_basis, span_dim, span_equal, _unit
 
 # -- squarefree arithmetic ---------------------------------------------------------
 
@@ -342,8 +342,7 @@ def _rank1_basis(eta_a: dict, eta_b: dict) -> list[list[Fraction]]:
     # complete {f, g} to a covector basis with standard covectors
     rows = [f, g]
     for j in range(4):
-        e = [Q(0)] * 4
-        e[j] = Q(1)
+        e = _unit(4, j)
         if span_dim(rows + [e]) > span_dim(rows):
             rows.append(e)
     p_hat, q_hat = rows[2], rows[3]

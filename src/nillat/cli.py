@@ -430,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nillat",
         description="exact computations with nilpotent Lie groups, lattices and symplectic forms",
     )
-    ap.add_argument("--bound", type=int, default=50, help="search budget for bounded operations")
-    ap.add_argument("--seed", type=int, default=0, help="seed for sampled property checks")
     sub = ap.add_subparsers(dest="command", required=True)
 
     simple = {

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .liealg import LieAlgebra, _unit
+from .liealg import LieAlgebra
 from .matrix import Matrix, Q, rref_basis, _frac
 
 
@@ -46,8 +46,15 @@ class AlternatingForm:
     def __call__(self, x: Sequence, y: Sequence) -> Fraction:
         xv = [_frac(a) for a in x]
         yv = [_frac(a) for a in y]
-        my = self.matrix.apply(yv)
-        return sum(a * b for a, b in zip(xv, my))
+        if len(yv) != self.matrix.cols:
+            raise InputError("vector length does not match column count")
+        ys = [(j, b) for j, b in enumerate(yv) if b != 0]
+        total = Q(0)
+        for a, row in zip(xv, self.matrix.data):
+            if a != 0:
+                for j, b in ys:
+                    total += a * row[j] * b
+        return total
 
     def flat(self, x: Sequence) -> list[Fraction]:
         """The covector w(x, .) as a coordinate list."""
@@ -58,13 +65,11 @@ class AlternatingForm:
         return self(L.bracket(x, y), z) + self(L.bracket(y, z), x) + self(L.bracket(z, x), y)
 
     def is_cocycle(self) -> bool:
-        n = self.algebra.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if self.coboundary_value(_unit(n, i), _unit(n, j), _unit(n, k)) != 0:
-                        return False
-        return True
+        w = self.matrix.data
+        return all(
+            sum(c * w[a][b] for (a, b), c in terms.items()) == 0
+            for terms in self.algebra.cyclic_terms().values()
+        )
 
     def is_nondegenerate(self) -> bool:
         return self.matrix.det() != 0
@@ -95,33 +100,13 @@ def cocycle_space(algebra: LieAlgebra) -> tuple[list[AlternatingForm], list[Alte
     pairs = _pair_index(n)
     index = {p: t for t, p in enumerate(pairs)}
 
-    def entry_coeffs(x_idx: int, vec: list[Fraction]) -> dict[int, Fraction]:
-        """Coefficients of w(e_x, vec) in the w_{ij} unknowns."""
-        out: dict[int, Fraction] = {}
-        for j, c in enumerate(vec):
-            if c == 0 or j == x_idx:
-                continue
-            if x_idx < j:
-                t = index[(x_idx, j)]
-                out[t] = out.get(t, Q(0)) + c
-            else:
-                t = index[(j, x_idx)]
-                out[t] = out.get(t, Q(0)) - c
-        return out
-
+    # one row per basis triple: (delta w)(e_i, e_j, e_k) in the w_{ab} unknowns
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row = [Q(0)] * len(pairs)
-                for (a, bvec) in ((k, algebra.basis_bracket(i, j)),
-                                  (i, algebra.basis_bracket(j, k)),
-                                  (j, algebra.basis_bracket(k, i))):
-                    # term w([x,y], z) = -w(z, [x,y])
-                    for t, c in entry_coeffs(a, bvec).items():
-                        row[t] -= c
-                if any(c != 0 for c in row):
-                    rows.append(row)
+    for _, terms in sorted(algebra.cyclic_terms().items()):
+        row = [Q(0)] * len(pairs)
+        for ab, c in terms.items():
+            row[index[ab]] = c
+        rows.append(row)
 
     if rows:
         kernel = Matrix(rows).kernel_basis()
@@ -135,14 +120,12 @@ def cocycle_space(algebra: LieAlgebra) -> tuple[list[AlternatingForm], list[Alte
 
     z2 = [to_form(v) for v in kernel]
 
-    cob_vecs = []
-    for lam in range(n):
-        v = [Q(0)] * len(pairs)
-        for t, (i, j) in enumerate(pairs):
-            v[t] = algebra.basis_bracket(i, j)[lam]
-        if any(c != 0 for c in v):
-            cob_vecs.append(v)
-    b2 = [to_form(v) for v in rref_basis(cob_vecs)] if cob_vecs else []
+    # lam([e_a, e_b]) for each coordinate functional lam
+    cob_vecs = [[Q(0)] * len(pairs) for _ in range(n)]
+    for ab, comp in algebra.brackets.items():
+        for lam, c in comp.items():
+            cob_vecs[lam][index[ab]] = c
+    b2 = [to_form(v) for v in rref_basis(cob_vecs)]
     return z2, b2
 
 
@@ -160,46 +143,59 @@ def left_symmetric_product(algebra: LieAlgebra, form: AlternatingForm) -> list[l
     if not form.is_nondegenerate():
         raise PreconditionError("form is degenerate")
     n = algebra.dim
+    w = form.matrix.data
     wt = form.matrix.transpose()
     table: list[list[list[Fraction]]] = []
     for i in range(n):
+        ad_i = [algebra.basis_bracket(i, k) for k in range(n)]
         row = []
-        ei = _unit(n, i)
         for j in range(n):
-            ej = _unit(n, j)
-            rhs = []
-            for k in range(n):
-                rhs.append(-form(ej, algebra.bracket(ei, _unit(n, k))))
-            # solve w(x, e_k) = rhs_k, i.e. W^T x = rhs
+            # w(x, e_k) = -w(e_j, [e_i, e_k]), i.e. W^T x = rhs
+            rhs = [-sum(w[j][m] * c for m, c in enumerate(br) if c != 0) for br in ad_i]
             row.append(wt.solve(rhs))
         table.append(row)
 
-    def prod(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        out = [Q(0)] * n
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in enumerate(table[i][j]):
-                    out[k] += xi * yj * c
-        return out
-
-    for i in range(n):
-        for j in range(n):
-            lhs = [a - b for a, b in zip(table[i][j], table[j][i])]
-            if lhs != algebra.basis_bracket(i, j):
-                raise PreconditionError("product does not reproduce the bracket")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ei, ej, ek = _unit(n, i), _unit(n, j), _unit(n, k)
-                a1 = [p - q for p, q in zip(prod(table[i][j], ek), prod(ei, table[j][k]))]
-                a2 = [p - q for p, q in zip(prod(table[j][i], ek), prod(ej, table[i][k]))]
-                if a1 != a2:
-                    raise PreconditionError("associator is not left-symmetric")
+    defect = left_symmetry_defect(algebra, table)
+    if defect == "torsion":
+        raise PreconditionError("product does not reproduce the bracket")
+    if defect == "associator":
+        raise PreconditionError("associator is not left-symmetric")
     return table
+
+
+def left_symmetry_defect(algebra: LieAlgebra, table: list[list[list[Fraction]]]) -> str | None:
+    """None when the basis product table is torsion-free and left-symmetric.
+
+    Torsion-free: e_i e_j - e_j e_i = [e_i, e_j].  Left-symmetric: the
+    associator (e_i e_j) e_k - e_i (e_j e_k) is symmetric in i, j.  Returns
+    "torsion" or "associator" for the first identity that fails.
+    """
+    n = algebra.dim
+    for i in range(n):
+        for j in range(n):
+            if [a - b for a, b in zip(table[i][j], table[j][i])] != algebra.basis_bracket(i, j):
+                return "torsion"
+    right = [[row[k] for row in table] for k in range(n)]  # right[k][a] = e_a e_k
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = algebra.basis_bracket(i, j)
+            for k in range(n):
+                # (e_i e_j - e_j e_i) e_k = e_i (e_j e_k) - e_j (e_i e_k)
+                lhs = _combine(br, right[k])
+                rhs = [a - b for a, b in zip(_combine(table[j][k], table[i]), _combine(table[i][k], table[j]))]
+                if lhs != rhs:
+                    return "associator"
+    return None
+
+
+def _combine(coeffs: Sequence[Fraction], vecs: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """sum_a coeffs[a] vecs[a], skipping zero coefficients."""
+    out = [Q(0)] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c != 0:
+            for m, x in enumerate(v):
+                out[m] += c * x
+    return out
 
 
 def product_from_table(table: list[list[list[Fraction]]], x: Sequence, y: Sequence) -> list[Fraction]:

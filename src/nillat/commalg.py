@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError, StructuralError
-from .matrix import Matrix, Q, rref_basis, _frac
+from .matrix import Matrix, Q, rref_basis, _frac, _unit
 
 
 class CommAlgebra:
@@ -69,20 +69,20 @@ class CommAlgebra:
         return out
 
     def mult_operator(self, x: Sequence) -> Matrix:
-        cols = [self.multiply(x, _basis(self.dim, j)) for j in range(self.dim)]
+        cols = [self.multiply(x, _unit(self.dim, j)) for j in range(self.dim)]
         return Matrix.from_columns(cols)
 
     def _validate(self) -> None:
         n = self.dim
         for j in range(n):
-            ej = _basis(n, j)
+            ej = _unit(n, j)
             if self.multiply(self.unit, ej) != ej or self.multiply(ej, self.unit) != ej:
                 raise StructuralError("unit element fails the unit axiom")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = self.multiply(self.basis_product(i, j), _basis(n, k))
-                    rhs = self.multiply(_basis(n, i), self.basis_product(j, k))
+                    lhs = self.multiply(self.basis_product(i, j), _unit(n, k))
+                    rhs = self.multiply(_unit(n, i), self.basis_product(j, k))
                     if lhs != rhs:
                         raise StructuralError(f"associativity fails at ({i},{j},{k})")
 
@@ -93,12 +93,6 @@ class CommAlgebra:
                 return True
             v = self.multiply(v, x)
         return False
-
-
-def _basis(n: int, j: int) -> list[Fraction]:
-    v = [Q(0)] * n
-    v[j] = Q(1)
-    return v
 
 
 @dataclass
@@ -126,7 +120,7 @@ def radical_and_socle(algebra: CommAlgebra) -> SocleReport:
         if not algebra.is_nilpotent_element(v):
             raise StructuralError("trace-form kernel contains a non-nilpotent")  # pragma: no cover
     if not radical:
-        socle = rref_basis([_basis(n, j) for j in range(n)])
+        socle = rref_basis([_unit(n, j) for j in range(n)])
     else:
         rows = []
         for r in radical:

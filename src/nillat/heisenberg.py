@@ -15,10 +15,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cocycles import AlternatingForm, cocycle_space
-from .commalg import CommAlgebra, SocleReport, radical_and_socle, _basis
+from .commalg import CommAlgebra, SocleReport, radical_and_socle
 from .errors import InputError, PreconditionError
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, rref_basis, span_dim
+from .matrix import Matrix, Q, rref_basis, span_dim, _unit
 
 
 @dataclass
@@ -188,7 +188,7 @@ def hk_degeneracy_check(base: CommAlgebra, k: int) -> DegeneracyCertificate:
     H = heisenberg_over(base, k)
     z2, _ = cocycle_space(H.algebra)
     l = base.dim
-    g_block = [_unit_vec(H.algebra.dim, H.g_index(t)) for t in range(l)]
+    g_block = [_unit(H.algebra.dim, H.g_index(t)) for t in range(l)]
     for form in z2:
         for gv in g_block:
             if any(c != 0 for c in form.flat(gv)):
@@ -214,7 +214,7 @@ def generic_degeneracy_search(
     z2, _ = cocycle_space(algebra)
     if not z2:
         return DegeneracyCertificate(True, "common-kernel",
-                                     kernel_basis=rref_basis([_unit_vec(n, 0)]))
+                                     kernel_basis=rref_basis([_unit(n, 0)]))
     # common kernel of all basis cocycles
     rows = []
     for form in z2:
@@ -284,11 +284,5 @@ def h1_blocks_for_search(base: CommAlgebra) -> tuple[list[list[Fraction]], list[
             vf[H.f_index(0, t)] = c
         w_basis.extend([ve, vf])
     for t in range(l):
-        w_basis.append(_unit_vec(n, H.g_index(t)))
+        w_basis.append(_unit(n, H.g_index(t)))
     return rref_basis(u_basis), rref_basis(w_basis)
-
-
-def _unit_vec(n: int, j: int) -> list[Fraction]:
-    v = [Q(0)] * n
-    v[j] = Q(1)
-    return v

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError, StructuralError
-from .matrix import Matrix, Q, rref_basis, span_dim, in_span, _frac
+from .matrix import Matrix, Q, rref_basis, span_dim, in_span, _frac, _unit
 
 
 class LieAlgebra:
@@ -71,19 +71,43 @@ class LieAlgebra:
 
     # -- validation ----------------------------------------------------------
 
+    def cyclic_terms(self) -> dict[tuple[int, int, int], dict[tuple[int, int], Fraction]]:
+        """The cyclic sums [e_i,e_j] (x) e_k + [e_j,e_k] (x) e_i + [e_k,e_i] (x) e_j.
+
+        For every basis triple i < j < k with a nonzero sum, its terms as
+        {(a, b): c} with a < b, so that (dw)(e_i, e_j, e_k) = sum c w(e_a, e_b)
+        and the Jacobiator of the triple is sum c [e_a, e_b].  Built from the
+        stored brackets: [e_p, e_q] (x) e_z lands on the sorted triple with
+        sign -1 exactly when p < z < q.
+        """
+        rows: dict[tuple[int, int, int], dict[tuple[int, int], Fraction]] = {}
+        for (p, q), comp in self.brackets.items():
+            for z in range(self.dim):
+                if z == p or z == q:
+                    continue
+                sign = -1 if p < z < q else 1
+                row = rows.setdefault(tuple(sorted((p, q, z))), {})
+                for m, c in comp.items():
+                    if m < z:
+                        row[(m, z)] = row.get((m, z), 0) + sign * c
+                    elif m > z:
+                        row[(z, m)] = row.get((z, m), 0) - sign * c
+        out = {}
+        for triple, row in rows.items():
+            terms = {ab: c for ab, c in row.items() if c != 0}
+            if terms:
+                out[triple] = terms
+        return out
+
     def jacobi_violations(self) -> list[tuple[tuple[int, int, int], list[Fraction]]]:
         bad = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    ei, ej, ek = (_unit(self.dim, t) for t in (i, j, k))
-                    s = _vadd(
-                        self.bracket(self.bracket(ei, ej), ek),
-                        self.bracket(self.bracket(ej, ek), ei),
-                        self.bracket(self.bracket(ek, ei), ej),
-                    )
-                    if any(c != 0 for c in s):
-                        bad.append(((i, j, k), s))
+        for triple, terms in sorted(self.cyclic_terms().items()):
+            s = [Q(0)] * self.dim
+            for ab, c in terms.items():
+                for m, d in self.brackets.get(ab, {}).items():
+                    s[m] += c * d
+            if any(c != 0 for c in s):
+                bad.append((triple, s))
         return bad
 
     def validate(self) -> None:
@@ -188,20 +212,6 @@ class LieAlgebra:
     def is_nilpotent(self) -> bool:
         series = self.descending_central_series()
         return not series or span_dim(series[-1]) == 0
-
-
-def _vadd(*vecs: Sequence[Fraction]) -> list[Fraction]:
-    out = [Q(0)] * len(vecs[0])
-    for v in vecs:
-        for i, c in enumerate(v):
-            out[i] += c
-    return out
-
-
-def _unit(dim: int, j: int) -> list[Fraction]:
-    v = [Q(0)] * dim
-    v[j] = Q(1)
-    return v
 
 
 def _unit_basis(dim: int) -> list[list[Fraction]]:

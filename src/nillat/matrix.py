@@ -25,6 +25,13 @@ def _frac(x) -> Fraction:
     raise InputError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _unit(dim: int, j: int) -> list[Fraction]:
+    """The j-th standard basis vector of Q^dim."""
+    v = [Q(0)] * dim
+    v[j] = Q(1)
+    return v
+
+
 class Matrix:
     """Immutable-by-convention dense matrix over the rationals."""
 
@@ -303,8 +310,7 @@ def complement_basis(basis: Sequence[Sequence], dim: int) -> list[list[Fraction]
     cur = [list(map(_frac, v)) for v in basis]
     out = []
     for j in range(dim):
-        e = [Q(0)] * dim
-        e[j] = Q(1)
+        e = _unit(dim, j)
         if not in_span(e, cur):
             cur.append(e)
             out.append(e)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, gcd
 from typing import Sequence
 
-from .cocycles import AlternatingForm
+from .cocycles import AlternatingForm, left_symmetry_defect, product_from_table
 from .errors import InputError, PreconditionError, StructuralError
-from .liealg import LieAlgebra, _unit, filiform_algebra, semidirect_coadjoint
-from .matrix import Matrix, Q, in_span, rref_basis, span_dim, _frac
+from .liealg import LieAlgebra, filiform_algebra, semidirect_coadjoint
+from .matrix import Matrix, Q, in_span, rref_basis, span_dim, _frac, _unit
 from .multipoly import Poly, poly_vector, vec_is_zero
 
 # -- the canonical filiform cocycle ---------------------------------------------------
@@ -228,32 +229,25 @@ def flat_symplectic_structure(
 
 
 def _verify_flat_symplectic(algebra: LieAlgebra, form: AlternatingForm, table) -> None:
-    from .cocycles import product_from_table
-
+    defect = left_symmetry_defect(algebra, table)
+    if defect == "torsion":
+        raise StructuralError("product has torsion")
+    if defect == "associator":
+        raise StructuralError("associator is not left-symmetric")
     n = algebra.dim
-    prod = lambda a, b: product_from_table(table, a, b)
-    for i in range(n):
-        for j in range(n):
-            ei, ej = _unit(n, i), _unit(n, j)
-            t = [a - b for a, b in zip(prod(ei, ej), prod(ej, ei))]
-            if t != algebra.basis_bracket(i, j):
-                raise StructuralError("product has torsion")
+    w = form.matrix.data
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                ei, ej, ek = _unit(n, i), _unit(n, j), _unit(n, k)
-                a1 = [p - q for p, q in zip(prod(prod(ei, ej), ek), prod(ei, prod(ej, ek)))]
-                a2 = [p - q for p, q in zip(prod(prod(ej, ei), ek), prod(ej, prod(ei, ek)))]
-                if a1 != a2:
-                    raise StructuralError("associator is not left-symmetric")
-                if form(prod(ei, ej), ek) + form(ej, prod(ei, ek)) != 0:
+                # w(e_i e_j, e_k) + w(e_j, e_i e_k) = 0
+                val = sum(c * w[a][k] for a, c in enumerate(table[i][j]) if c != 0)
+                val += sum(w[j][b] * c for b, c in enumerate(table[i][k]) if c != 0)
+                if val != 0:
                     raise StructuralError("symplectic form is not parallel")
 
 
 def curvature_vanishes(algebra: LieAlgebra, table) -> bool:
     """L_{[a,b]} = [L_a, L_b] on all basis pairs."""
-    from .cocycles import product_from_table
-
     n = algebra.dim
 
     def lmat(vec):
@@ -320,48 +314,36 @@ def example5_gamma_prime(rows: Sequence[Sequence]) -> GammaPrimeReport:
     coeffs = [v[piv] / base[piv] for v in vecs]
     den = 1
     for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     g = 0
     for c in ints:
-        g = _gcd(g, abs(c))
+        g = gcd(g, abs(c))
     ints = [c // g for c in ints]
     return GammaPrimeReport(1, 5, True, ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # -- classical Yang-Baxter ------------------------------------------------------------------
 
 
-def cybe_bracket_value(algebra: LieAlgebra, r: Matrix, i: int, j: int, k: int) -> Fraction:
-    """[[r, r]](eps_i, eps_j, eps_k) with r viewed as a map G* -> G via column action."""
-    n = algebra.dim
-    out = Q(0)
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        rb = r.column(b)
-        rc = r.column(c)
-        out += algebra.bracket(rb, rc)[a]
-    return out
-
-
 def cybe_check(algebra: LieAlgebra, r: Matrix) -> bool:
-    """True iff the alternating bivector r solves the classical Yang-Baxter equation."""
+    """True iff the alternating bivector r solves the classical Yang-Baxter equation.
+
+    [[r, r]](eps_i, eps_j, eps_k) is the cyclic sum of [r eps_b, r eps_c]_a
+    over (a, b, c) in {(i, j, k), (j, k, i), (k, i, j)}, with r acting by
+    columns; each bracket [r eps_b, r eps_c] is computed once.
+    """
     if r.rows != algebra.dim or r.cols != algebra.dim:
         raise InputError("bivector size mismatch")
     if r.transpose() != r.scale(-1):
         raise InputError("bivector matrix must be skew-symmetric")
     n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if cybe_bracket_value(algebra, r, i, j, k) != 0:
-                    return False
-    return True
+    cols = [r.column(b) for b in range(n)]
+    br = {(b, c): algebra.bracket(cols[b], cols[c]) for b, c in combinations(range(n), 2)}
+    return all(
+        br[j, k][i] - br[i, k][j] + br[i, j][k] == 0
+        for i, j, k in combinations(range(n), 3)
+    )
 
 
 def inverse_bivector(form: AlternatingForm) -> Matrix:

@@ -126,3 +126,69 @@ def rand_fraction(rng, span=6):
     num = rng.randint(-span, span)
     den = rng.randint(1, 4)
     return Q(num, den)
+
+
+# -- dense definitional versions of the library's sparse cyclic-sum checks --------
+#
+# Each evaluates its identity on unit vectors for every basis triple, exactly
+# as the library did before it read the sparse cyclic-sum table.
+
+
+def _unit(n, j):
+    v = [Q(0)] * n
+    v[j] = Q(1)
+    return v
+
+
+def _vadd(*vecs):
+    out = [Q(0)] * len(vecs[0])
+    for v in vecs:
+        for i, c in enumerate(v):
+            out[i] += c
+    return out
+
+
+def dense_jacobi_violations(algebra):
+    """[((i, j, k), defect), ...] in lexicographic order, defect a dense list."""
+    bad = []
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            for k in range(j + 1, algebra.dim):
+                ei, ej, ek = (_unit(algebra.dim, t) for t in (i, j, k))
+                s = _vadd(
+                    algebra.bracket(algebra.bracket(ei, ej), ek),
+                    algebra.bracket(algebra.bracket(ej, ek), ei),
+                    algebra.bracket(algebra.bracket(ek, ei), ej),
+                )
+                if any(c != 0 for c in s):
+                    bad.append(((i, j, k), s))
+    return bad
+
+
+def dense_is_cocycle(form):
+    """(dw)(e_i, e_j, e_k) = 0 on every basis triple, by the coboundary formula."""
+    n = form.algebra.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if form.coboundary_value(_unit(n, i), _unit(n, j), _unit(n, k)) != 0:
+                    return False
+    return True
+
+
+def dense_cybe_check(algebra, r):
+    """[[r, r]](eps_i, eps_j, eps_k) = 0 on every basis triple, r acting by columns."""
+    n = algebra.dim
+
+    def bracket_value(i, j, k):
+        out = Q(0)
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            out += algebra.bracket(r.column(b), r.column(c))[a]
+        return out
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if bracket_value(i, j, k) != 0:
+                    return False
+    return True
