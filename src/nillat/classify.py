@@ -8,15 +8,17 @@ to the normal-form table is constructed and re-verified exactly.
 
 Filiform lattices L x| Z are encoded by their unitriangular action matrix;
 conjugation under lower-unitriangular integer matrices and +-1 diagonals is
-decided exactly (Euclidean normal form, then an integer Sylvester solve per
-sign pattern).
+decided exactly in integer arithmetic: a Euclidean normal form by elementary
+row and column operations, then one integer Sylvester solve T g1 = g2 T.
+One solve suffices: entry (i+1, i) of T g1 is g1[i+1][i] + T[i+1][i] and
+that of (D g2 D) T is eps_i eps_{i+1} g2[i+1][i] + T[i+1][i] for a +-1
+diagonal D, and both normal forms are positive there, so only D = I matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from math import isqrt
 from typing import Sequence
 
@@ -441,6 +443,17 @@ def trid_invariants_from_model(model) -> list[int]:
 # -- filiform lattice specs ----------------------------------------------------------
 
 
+def _integer_entry(x) -> int:
+    """x as an int; booleans, strings and non-integral numbers are rejected, not truncated."""
+    try:
+        integral = not isinstance(x, (bool, str)) and int(x) == x
+    except OverflowError:  # float infinity
+        integral = False
+    if not integral:
+        raise InputError(f"action matrix entry {x!r} is not an integer")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class FiliformLatticeSpec:
     """Lattice L x| Z inside the filiform group, encoded by its action matrix g(1)."""
@@ -449,7 +462,7 @@ class FiliformLatticeSpec:
     g: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, g: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in g)
+        rows = tuple(tuple(_integer_entry(x) for x in row) for row in g)
         if n < 2 or len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("action matrix must be n x n with n >= 2")
         for i in range(n):
@@ -470,10 +483,19 @@ def theta_invariant(spec: FiliformLatticeSpec) -> tuple[int, ...]:
     return tuple(abs(spec.g[j + 1][j]) for j in range(spec.n - 1))
 
 
-def _conjugate(g: IntRows, w: IntRows) -> IntRows:
-    wi = Matrix(w).inverse()
-    res = wi * Matrix(g) * Matrix(w)
-    return res.to_int_rows()
+def _triangular_inverse(m: IntRows) -> IntRows:
+    """Inverse of an integer lower-triangular matrix with a +-1 diagonal (forward substitution)."""
+    n = len(m)
+    if any(len(row) != n for row in m) or any(
+        m[i][j] != 0 for i in range(n) for j in range(i + 1, n)
+    ) or any(m[i][i] not in (1, -1) for i in range(n)):
+        raise StructuralError("expected a lower-triangular integer matrix with +-1 diagonal")
+    inv = [[0] * n for _ in range(n)]
+    for j in range(n):
+        inv[j][j] = m[j][j]
+        for i in range(j + 1, n):
+            inv[i][j] = -m[i][i] * sum(m[i][k] * inv[k][j] for k in range(j, i))
+    return inv
 
 
 def filiform_normalize(spec: FiliformLatticeSpec) -> tuple[FiliformLatticeSpec, IntRows]:
@@ -490,7 +512,8 @@ def filiform_normalize(spec: FiliformLatticeSpec) -> tuple[FiliformLatticeSpec, 
     witness = [[eps[i] if i == j else 0 for j in range(n)] for i in range(n)]
     g = [[eps[i] * eps[j] * g[i][j] for j in range(n)] for i in range(n)]
 
-    # entries ordered by depth m = i - j, then by column
+    # entries ordered by depth m = i - j, then by column; conjugating by
+    # u = I + q E[i][j+1] is: column j+1 += q column i, then row i -= q row j+1
     for m in range(2, n):
         for j in range(0, n - m):
             i = j + m
@@ -498,10 +521,11 @@ def filiform_normalize(spec: FiliformLatticeSpec) -> tuple[FiliformLatticeSpec, 
             qq = g[i][j] // b
             if qq == 0:
                 continue
-            u = mat_identity(n)
-            u[i][j + 1] = qq
-            g = _conjugate(g, u)
-            witness = mat_mul(witness, u)
+            for row in g:
+                row[j + 1] += qq * row[i]
+            g[i] = [x - qq * y for x, y in zip(g[i], g[j + 1])]
+            for row in witness:
+                row[j + 1] += qq * row[i]
 
     for j in range(n - 1):
         if g[j + 1][j] <= 0:
@@ -509,7 +533,8 @@ def filiform_normalize(spec: FiliformLatticeSpec) -> tuple[FiliformLatticeSpec, 
         for i in range(j + 2, n):
             if not 0 <= g[i][j] < g[j + 1][j]:
                 raise StructuralError("Euclidean reduction failed")  # pragma: no cover
-    if _conjugate(spec.g_rows(), witness) != g:
+    # witness is lower-triangular with a +-1 diagonal, hence unimodular
+    if mat_mul(spec.g, witness) != mat_mul(witness, g):
         raise StructuralError("witness verification failed")  # pragma: no cover
     return FiliformLatticeSpec(n, g), witness
 
@@ -576,64 +601,31 @@ def filiform_isomorphic(
         u = xb * (delta // gcd_ab)
         v = -ya * (delta // gcd_ab)
         phi_mid = [[1, 0, 0], [u, 1, 0], [0, v, 1]]
-        if _conjugate(n1.g_rows(), phi_mid) != n2.g_rows():
+        if mat_mul(n1.g, phi_mid) != mat_mul(phi_mid, n2.g):
             raise StructuralError("closed-form witness failed")  # pragma: no cover
-        full = mat_mul(mat_mul(w1, phi_mid), Matrix(w2).inverse().to_int_rows())
+        full = mat_mul(mat_mul(w1, phi_mid), _triangular_inverse(w2))
         return True, _checked_witness(s1, s2, full)
 
-    # n != 3: exact integer Sylvester solve per sign pattern (eps_1 = 1).
-    # T g1 = (D g2 D) T gives conj(g1, T^-1 D) = g2 for the normalized pair.
-    for pattern in iproduct((1, -1), repeat=n - 1):
-        eps = (1,) + pattern
-        dmat = [[eps[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        target = [[eps[i] * eps[j] * n2.g[i][j] for j in range(n)] for i in range(n)]
-        t_mat = _sylvester_solve_unitriangular(n1.g_rows(), target)
-        if t_mat is not None:
-            t_inv = Matrix(t_mat).inverse().to_int_rows()
-            full = mat_mul(mat_mul(mat_mul(w1, t_inv), dmat), Matrix(w2).inverse().to_int_rows())
-            return True, _checked_witness(s1, s2, full)
-    return False, None
+    # n != 3: one integer Sylvester solve T g1 = g2 T, giving conj(g1, T^-1) = g2.
+    # No sign pattern D (eps_1 = 1, since D and -D act alike) other than the
+    # identity can help: entry (i+1, i) of T g1 is g1[i+1][i] + T[i+1][i], that
+    # of (D g2 D) T is eps_i eps_{i+1} g2[i+1][i] + T[i+1][i], and both normal
+    # forms are positive there, so every eps_i eps_{i+1} = 1.
+    t_mat = _sylvester_solve_unitriangular(n1.g, n2.g)
+    if t_mat is None:
+        return False, None
+    full = mat_mul(mat_mul(w1, _triangular_inverse(t_mat)), _triangular_inverse(w2))
+    return True, _checked_witness(s1, s2, full)
 
 
 def _checked_witness(s1: FiliformLatticeSpec, s2: FiliformLatticeSpec, phi_fwd: IntRows) -> IntRows:
     """phi_fwd conjugates s1.g to s2.g; return (and verify) the reverse witness."""
-    if _conjugate(s1.g_rows(), phi_fwd) != s2.g_rows():
+    if mat_mul(s1.g, phi_fwd) != mat_mul(phi_fwd, s2.g):
         raise StructuralError("witness verification failed")  # pragma: no cover
-    psi = Matrix(phi_fwd).inverse().to_int_rows()
-    if _conjugate(s2.g_rows(), psi) != s1.g_rows():
+    psi = _triangular_inverse(phi_fwd)
+    if mat_mul(s2.g, psi) != mat_mul(psi, s1.g):
         raise StructuralError("witness inversion failed")  # pragma: no cover
     return psi
-
-
-def filiform_isomorphic_bounded_oracle(
-    s1: FiliformLatticeSpec, s2: FiliformLatticeSpec, bound: int = 30
-) -> bool:
-    """Brute-force conjugator search for n = 3 (test oracle, not the decision path).
-
-    Enumerates phi = diag(1, e2, e3) (I + u E21 + v E32) with |u|, |v| <= bound
-    and tests the conjugation with plain integer arithmetic.
-    """
-    if s1.n != 3 or s2.n != 3:
-        raise InputError("oracle is for n = 3")
-    g2 = s2.g_rows()
-
-    def mul3(x, y):
-        return [
-            [sum(x[i][t] * y[t][j] for t in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-
-    for e2 in (1, -1):
-        for e3 in (1, -1):
-            d = [[1, 0, 0], [0, e2, 0], [0, 0, e3]]
-            dgd = mul3(d, mul3(s1.g_rows(), d))
-            for u in range(-bound, bound + 1):
-                for v in range(-bound, bound + 1):
-                    t = [[1, 0, 0], [u, 1, 0], [0, v, 1]]
-                    t_inv = [[1, 0, 0], [-u, 1, 0], [u * v, -v, 1]]
-                    if mul3(t_inv, mul3(dgd, t)) == g2:
-                        return True
-    return False
 
 
 def central_quotients(spec: FiliformLatticeSpec) -> list[list[int]]:

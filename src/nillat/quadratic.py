@@ -242,30 +242,6 @@ def fundamental_unit(m: int) -> RingElement:
     return eps
 
 
-def fundamental_unit_box_search(m: int, coord_bound: int = 10 ** 7) -> RingElement:
-    """Minimal unit > 1 by increasing second coordinate (test oracle)."""
-    ring = ring_of_integers(m)
-    # minimal unit > 1 has minimal y, then minimal x: try the smaller target first
-    if ring.half:
-        # x^2 - m y^2 = +-4 with x = y (mod 2)
-        for y in range(1, coord_bound):
-            for target in (-4, 4):
-                x2 = m * y * y + target
-                if x2 > 0:
-                    x = isqrt(x2)
-                    if x * x == x2 and (x - y) % 2 == 0:
-                        return RingElement(ring, (x - y) // 2, y)
-    else:
-        for y in range(1, coord_bound):
-            for target in (-1, 1):
-                x2 = m * y * y + target
-                if x2 > 0:
-                    x = isqrt(x2)
-                    if x * x == x2:
-                        return RingElement(ring, x, y)
-    raise PreconditionError("no unit found within the box")
-
-
 @dataclass
 class UnitGroupDesc:
     torsion: str                      # "C2" | "C4" | "C6"

@@ -2,11 +2,20 @@
 
 These deliberately avoid the library's own linear algebra: plain-list
 Gaussian elimination and direct definitional evaluation, so a bug in the
-production path cannot hide inside its own verification.
+production path cannot hide inside its own verification.  The exception is
+the last section, which keeps the filiform decision path as it was before it
+became integer-only, to compare the new path's outputs against.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as iproduct
+from math import isqrt
+
+from nillat.classify import FiliformLatticeSpec, _sylvester_solve_unitriangular, theta_invariant
+from nillat.errors import InputError, PreconditionError, StructuralError
+from nillat.intlattice import IntRows, mat_identity, mat_mul, xgcd
+from nillat.matrix import Matrix
+from nillat.quadratic import RingElement, ring_of_integers
 
 Q = Fraction
 
@@ -46,6 +55,25 @@ def kernel_dim(rows):
     ncols = len(rows[0])
     work = [row[:] for row in rows]
     return ncols - len(rref_inplace(work))
+
+
+def int_det(m):
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def brute_force_cocycle_dim(algebra):
@@ -192,3 +220,169 @@ def dense_cybe_check(algebra, r):
                 if bracket_value(i, j, k) != 0:
                     return False
     return True
+
+
+# -- oracles moved out of the library ---------------------------------------------
+
+
+def filiform_isomorphic_bounded_oracle(
+    s1: FiliformLatticeSpec, s2: FiliformLatticeSpec, bound: int = 30
+) -> bool:
+    """Brute-force conjugator search for n = 3 (test oracle, not the decision path).
+
+    Enumerates phi = diag(1, e2, e3) (I + u E21 + v E32) with |u|, |v| <= bound
+    and tests the conjugation with plain integer arithmetic.
+    """
+    if s1.n != 3 or s2.n != 3:
+        raise InputError("oracle is for n = 3")
+    g2 = s2.g_rows()
+
+    def mul3(x, y):
+        return [
+            [sum(x[i][t] * y[t][j] for t in range(3)) for j in range(3)]
+            for i in range(3)
+        ]
+
+    for e2 in (1, -1):
+        for e3 in (1, -1):
+            d = [[1, 0, 0], [0, e2, 0], [0, 0, e3]]
+            dgd = mul3(d, mul3(s1.g_rows(), d))
+            for u in range(-bound, bound + 1):
+                for v in range(-bound, bound + 1):
+                    t = [[1, 0, 0], [u, 1, 0], [0, v, 1]]
+                    t_inv = [[1, 0, 0], [-u, 1, 0], [u * v, -v, 1]]
+                    if mul3(t_inv, mul3(dgd, t)) == g2:
+                        return True
+    return False
+
+
+def fundamental_unit_box_search(m: int, coord_bound: int = 10 ** 7) -> RingElement:
+    """Minimal unit > 1 by increasing second coordinate (test oracle)."""
+    ring = ring_of_integers(m)
+    # minimal unit > 1 has minimal y, then minimal x: try the smaller target first
+    if ring.half:
+        # x^2 - m y^2 = +-4 with x = y (mod 2)
+        for y in range(1, coord_bound):
+            for target in (-4, 4):
+                x2 = m * y * y + target
+                if x2 > 0:
+                    x = isqrt(x2)
+                    if x * x == x2 and (x - y) % 2 == 0:
+                        return RingElement(ring, (x - y) // 2, y)
+    else:
+        for y in range(1, coord_bound):
+            for target in (-1, 1):
+                x2 = m * y * y + target
+                if x2 > 0:
+                    x = isqrt(x2)
+                    if x * x == x2:
+                        return RingElement(ring, x, y)
+    raise PreconditionError("no unit found within the box")
+
+
+# -- the filiform decision path before it became integer-only ----------------------
+#
+# Verbatim copies (renamed) of the Fraction-conjugation normalization and the
+# sign-pattern loop, kept as references for the integer-only library path.
+# They use the library's Matrix inverse and Sylvester solver, as they did.
+
+
+def fraction_conjugate(g: IntRows, w: IntRows) -> IntRows:
+    wi = Matrix(w).inverse()
+    res = wi * Matrix(g) * Matrix(w)
+    return res.to_int_rows()
+
+
+def fraction_filiform_normalize(spec: FiliformLatticeSpec) -> tuple[FiliformLatticeSpec, IntRows]:
+    """Euclidean normal form: positive subdiagonal, deeper entries reduced.
+
+    Returns (normalized, witness) with witness^-1 g witness == normalized.g;
+    entries a[i][j], i > j+1 end in [0, a[j+1][j]).
+    """
+    n = spec.n
+    g = spec.g_rows()
+    eps = [1] * n
+    for j in range(n - 1):
+        eps[j + 1] = eps[j] * (1 if g[j + 1][j] > 0 else -1)
+    witness = [[eps[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    g = [[eps[i] * eps[j] * g[i][j] for j in range(n)] for i in range(n)]
+
+    # entries ordered by depth m = i - j, then by column
+    for m in range(2, n):
+        for j in range(0, n - m):
+            i = j + m
+            b = g[j + 1][j]
+            qq = g[i][j] // b
+            if qq == 0:
+                continue
+            u = mat_identity(n)
+            u[i][j + 1] = qq
+            g = fraction_conjugate(g, u)
+            witness = mat_mul(witness, u)
+
+    for j in range(n - 1):
+        if g[j + 1][j] <= 0:
+            raise StructuralError("sign normalization failed")  # pragma: no cover
+        for i in range(j + 2, n):
+            if not 0 <= g[i][j] < g[j + 1][j]:
+                raise StructuralError("Euclidean reduction failed")  # pragma: no cover
+    if fraction_conjugate(spec.g_rows(), witness) != g:
+        raise StructuralError("witness verification failed")  # pragma: no cover
+    return FiliformLatticeSpec(n, g), witness
+
+
+def sign_loop_filiform_isomorphic(
+    s1: FiliformLatticeSpec, s2: FiliformLatticeSpec
+) -> tuple[bool, IntRows | None]:
+    """Decide conjugacy under lower-unitriangular integer matrices and +-1 diagonals.
+
+    Returns (answer, witness); the witness phi satisfies
+    phi^-1 @ s2.g @ phi == s1.g exactly.
+    """
+    if s1.n != s2.n:
+        raise InputError("dimension mismatch")
+    n = s1.n
+    if theta_invariant(s1) != theta_invariant(s2):
+        return False, None
+    n1, w1 = fraction_filiform_normalize(s1)
+    n2, w2 = fraction_filiform_normalize(s2)
+
+    if n == 3:
+        a, b = n1.g[1][0], n1.g[2][1]
+        c1, c2 = n1.g[2][0], n2.g[2][0]
+        gcd_ab, xb, ya = xgcd(b, a)
+        delta = c2 - c1
+        if delta % gcd_ab != 0:
+            return False, None
+        # b*u - a*v = delta
+        u = xb * (delta // gcd_ab)
+        v = -ya * (delta // gcd_ab)
+        phi_mid = [[1, 0, 0], [u, 1, 0], [0, v, 1]]
+        if fraction_conjugate(n1.g_rows(), phi_mid) != n2.g_rows():
+            raise StructuralError("closed-form witness failed")  # pragma: no cover
+        full = mat_mul(mat_mul(w1, phi_mid), Matrix(w2).inverse().to_int_rows())
+        return True, fraction_checked_witness(s1, s2, full)
+
+    # n != 3: exact integer Sylvester solve per sign pattern (eps_1 = 1).
+    # T g1 = (D g2 D) T gives conj(g1, T^-1 D) = g2 for the normalized pair.
+    for pattern in iproduct((1, -1), repeat=n - 1):
+        eps = (1,) + pattern
+        dmat = [[eps[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        target = [[eps[i] * eps[j] * n2.g[i][j] for j in range(n)] for i in range(n)]
+        t_mat = _sylvester_solve_unitriangular(n1.g_rows(), target)
+        if t_mat is not None:
+            t_inv = Matrix(t_mat).inverse().to_int_rows()
+            full = mat_mul(mat_mul(mat_mul(w1, t_inv), dmat), Matrix(w2).inverse().to_int_rows())
+            return True, fraction_checked_witness(s1, s2, full)
+    return False, None
+
+
+def fraction_checked_witness(s1: FiliformLatticeSpec, s2: FiliformLatticeSpec, phi_fwd: IntRows) -> IntRows:
+    """phi_fwd conjugates s1.g to s2.g; return (and verify) the reverse witness."""
+    if fraction_conjugate(s1.g_rows(), phi_fwd) != s2.g_rows():
+        raise StructuralError("witness verification failed")  # pragma: no cover
+    psi = Matrix(phi_fwd).inverse().to_int_rows()
+    if fraction_conjugate(s2.g_rows(), psi) != s1.g_rows():
+        raise StructuralError("witness inversion failed")  # pragma: no cover
+    return psi
+

@@ -11,13 +11,13 @@ from math import gcd
 
 import pytest
 
+from helpers import filiform_isomorphic_bounded_oracle, fundamental_unit_box_search
 from nillat.anosov import char_poly_pair, has_unit_circle_root, is_anosov
 from nillat.classify import (
     FiliformLatticeSpec,
     central_quotients,
     classify_six_dim,
     filiform_isomorphic,
-    filiform_isomorphic_bounded_oracle,
     nontrivial_invariants,
 )
 from nillat.cocycles import AlternatingForm, cocycle_space
@@ -59,7 +59,7 @@ from nillat.heisenberg import (
     hk_degeneracy_check,
 )
 from nillat.liealg import _unit, heisenberg_algebra, filiform_algebra, semidirect_coadjoint, six_dim_quadratic_structure
-from nillat.quadratic import fundamental_unit, fundamental_unit_box_search
+from nillat.quadratic import fundamental_unit
 from nillat.classify import squarefree_part
 from nillat.symplectic import (
     curvature_vanishes,

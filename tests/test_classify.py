@@ -4,13 +4,13 @@ from math import gcd
 
 import pytest
 
+from helpers import filiform_isomorphic_bounded_oracle
 from nillat.classify import (
     FiliformLatticeSpec,
     central_quotients,
     classify_six_dim,
     commensurable,
     filiform_isomorphic,
-    filiform_isomorphic_bounded_oracle,
     filiform_normalize,
     nontrivial_invariants,
     squarefree_part,

@@ -52,6 +52,20 @@ def test_filiform_isom_example(capsys):
     assert doc["isomorphic"] is False
 
 
+@pytest.mark.parametrize("entry", ["6.7", "true", '"6"', "Infinity"])
+def test_filiform_non_integer_entry_rejected(capsys, entry):
+    """A non-integer entry is an input error, not truncated to an integer."""
+    code, doc = run_cli(
+        capsys,
+        "filiform", "isom",
+        "--a", '{"n":3,"g":[[1,0,0],[%s,1,0],[1,9,1]]}' % entry,
+        "--b", '{"n":3,"g":[[1,0,0],[6,1,0],[1,9,1]]}',
+    )
+    assert code == 2
+    assert doc["error"] == "input"
+    assert "isomorphic" not in doc
+
+
 def test_filiform_normalize_and_quotients(capsys):
     spec = '{"n":3,"g":[[1,0,0],[6,1,0],[14,9,1]]}'
     code, doc = run_cli(capsys, "filiform", "normalize", "--json", spec)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import fundamental_unit_box_search
 from nillat.classify import squarefree_part
 from nillat.errors import InputError
 from nillat.quadratic import (
@@ -13,7 +14,6 @@ from nillat.quadratic import (
     embedding_sign,
     format_element,
     fundamental_unit,
-    fundamental_unit_box_search,
     one,
     ring_of_integers,
     unit_exponent,
