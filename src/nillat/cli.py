@@ -205,9 +205,9 @@ def cmd_filiform(args) -> int:
         _emit({"isomorphic": ans, "witness": witness})
         return 0 if ans else ANSWER_FALSE
     if args.action == "aut":
-        n = int(doc["n"])
-        y_images = [[(g, int(e)) for g, e in w] for w in doc["y_images"]]
-        z_image = [(g, int(e)) for g, e in doc["z_image"]]
+        n = jsonio.parse_int(doc["n"], "n")
+        y_images = [[(g, jsonio.parse_int(e, "exponent")) for g, e in w] for w in doc["y_images"]]
+        z_image = [(g, jsonio.parse_int(e, "exponent")) for g, e in doc["z_image"]]
         rep = filiform_aut_constraints(n, y_images, z_image)
         _emit({"ok": rep.ok, "diagnosis": rep.diagnosis})
         return 0
@@ -258,7 +258,7 @@ def cmd_symplectic(args) -> int:
         return 0
     if args.action == "hk-check":
         A = jsonio.parse_comm_algebra(doc["algebra"])
-        cert = hk_degeneracy_check(A, int(doc["k"]))
+        cert = hk_degeneracy_check(A, jsonio.parse_int(doc["k"], "k"))
         _emit({
             "degenerate": cert.degenerate,
             "kind": cert.kind,
@@ -384,9 +384,9 @@ def cmd_charpoly(args) -> int:
 
 def cmd_phi_aut(args) -> int:
     doc = _load_doc(args)
-    ring = ring_of_integers(int(doc["m"]))
-    alpha = ring_element(ring, *[int(x) for x in doc["alpha"]])
-    beta = ring_element(ring, *[int(x) for x in doc["beta"]])
+    ring = ring_of_integers(jsonio.parse_int(doc["m"], "m"))
+    alpha = ring_element(ring, *[jsonio.parse_int(x, "alpha") for x in doc["alpha"]])
+    beta = ring_element(ring, *[jsonio.parse_int(x, "beta") for x in doc["beta"]])
     phi = phi_automorphism(ring, alpha, beta)
     _emit({
         "matrix": jsonio.dump_matrix(phi.matrix),
@@ -403,7 +403,11 @@ def cmd_phi_aut(args) -> int:
 
 def cmd_gamma111_aut(args) -> int:
     doc = _load_doc(args)
-    aut = gamma111_automorphism(doc["matrix"], doc.get("central"))
+    central = doc.get("central")
+    aut = gamma111_automorphism(
+        jsonio.parse_int_matrix(doc["matrix"]),
+        None if central is None else jsonio.parse_int_matrix(central),
+    )
     _emit({"b": aut.b_matrix, "a": aut.a_matrix})
     return 0
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import InputError, PreconditionError
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, rref_basis, _frac
+from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac
 
 
 class AlternatingForm:
@@ -26,8 +26,12 @@ class AlternatingForm:
     def __init__(self, algebra: LieAlgebra, matrix: Matrix):
         if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
             raise InputError("form matrix size does not match algebra dimension")
-        if matrix.transpose() != matrix.scale(-1):
-            raise InputError("form matrix is not skew-symmetric")
+        m = matrix.data
+        for i, row in enumerate(m):
+            for j in range(i, len(m)):
+                a, b = row[j], m[j][i]
+                if (a or b) and a != -b:
+                    raise InputError("form matrix is not skew-symmetric")
         self.algebra = algebra
         self.matrix = matrix
 
@@ -57,8 +61,18 @@ class AlternatingForm:
         return total
 
     def flat(self, x: Sequence) -> list[Fraction]:
-        """The covector w(x, .) as a coordinate list."""
-        return self.matrix.transpose().apply(x)
+        """The covector w(x, .) as a coordinate list: sum_i x_i (row i of the matrix)."""
+        xv = [_frac(a) for a in x]
+        n = self.matrix.cols
+        if len(xv) != n:
+            raise InputError("vector length does not match column count")
+        out = [Q(0)] * n
+        for a, row in zip(xv, self.matrix.data):
+            if a:
+                for j, w in enumerate(row):
+                    if w:
+                        out[j] += a * w
+        return out
 
     def coboundary_value(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
         L = self.algebra
@@ -100,18 +114,12 @@ def cocycle_space(algebra: LieAlgebra) -> tuple[list[AlternatingForm], list[Alte
     pairs = _pair_index(n)
     index = {p: t for t, p in enumerate(pairs)}
 
-    # one row per basis triple: (delta w)(e_i, e_j, e_k) in the w_{ab} unknowns
-    rows = []
-    for _, terms in sorted(algebra.cyclic_terms().items()):
-        row = [Q(0)] * len(pairs)
-        for ab, c in terms.items():
-            row[index[ab]] = c
-        rows.append(row)
-
-    if rows:
-        kernel = Matrix(rows).kernel_basis()
-    else:
-        kernel = [[Q(1) if t == s else Q(0) for s in range(len(pairs))] for t in range(len(pairs))]
+    # one sparse row per basis triple: (delta w)(e_i, e_j, e_k) in the w_{ab} unknowns
+    rows = [
+        {index[ab]: c for ab, c in terms.items()}
+        for _, terms in sorted(algebra.cyclic_terms().items())
+    ]
+    kernel = sparse_kernel_basis(rows, len(pairs))
 
     def to_form(coords: Sequence[Fraction]) -> AlternatingForm:
         return AlternatingForm.from_upper_entries(

@@ -165,7 +165,7 @@ def _dual_functional(base: CommAlgebra, socle_vec: Sequence[Fraction]) -> list[F
 
 
 def _apply(functional: Sequence[Fraction], vec: Sequence[Fraction]) -> Fraction:
-    return sum(a * b for a, b in zip(functional, vec))
+    return sum((a * b for a, b in zip(functional, vec) if a and b), Q(0))
 
 
 @dataclass
@@ -225,11 +225,12 @@ def generic_degeneracy_search(
     if blocks is not None:
         u_basis, w_basis = blocks
         if span_dim(u_basis) > n - span_dim(w_basis):
+            # w(u, v) = flat(u) . v: one covector per (form, u)
             if all(
-                form(u, w) == 0
+                _apply(fu, v) == 0
                 for form in z2
-                for u in u_basis
-                for w in w_basis
+                for fu in map(form.flat, u_basis)
+                for v in w_basis
             ):
                 return DegeneracyCertificate(True, "orthogonality", kernel_basis=rref_basis(u_basis))
     # witness search: simple combinations first

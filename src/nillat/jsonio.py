@@ -50,17 +50,28 @@ def parse_rational(x) -> Fraction:
     raise InputError(f"bad rational {x!r}")
 
 
+def parse_int(x, what: str) -> int:
+    """x as an int; booleans, strings, non-integral numbers, infinities and NaN are rejected."""
+    try:
+        integral = not isinstance(x, (bool, str)) and int(x) == x
+    except (OverflowError, TypeError, ValueError):  # infinity, NaN, non-numbers
+        integral = False
+    if not integral:
+        raise InputError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 def dump_rational(q: Fraction):
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def parse_lie_algebra(doc: Any) -> LieAlgebra:
     try:
-        dim = int(doc["dim"])
+        dim = parse_int(doc["dim"], "dim")
         brackets = {}
         for i, j, comps in doc.get("brackets", []):
-            brackets[(int(i) - 1, int(j) - 1)] = {
-                int(k) - 1: parse_rational(c) for k, c in comps
+            brackets[(parse_int(i, "index") - 1, parse_int(j, "index") - 1)] = {
+                parse_int(k, "index") - 1: parse_rational(c) for k, c in comps
             }
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed Lie algebra document: {exc}") from exc
@@ -77,12 +88,12 @@ def dump_lie_algebra(L: LieAlgebra) -> dict:
 
 def parse_comm_algebra(doc: Any) -> CommAlgebra:
     try:
-        dim = int(doc["dim"])
+        dim = parse_int(doc["dim"], "dim")
         unit = [parse_rational(c) for c in doc["unit"]]
         products = {}
         for i, j, comps in doc.get("products", []):
-            products[(int(i) - 1, int(j) - 1)] = {
-                int(k) - 1: parse_rational(c) for k, c in comps
+            products[(parse_int(i, "index") - 1, parse_int(j, "index") - 1)] = {
+                parse_int(k, "index") - 1: parse_rational(c) for k, c in comps
             }
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed commutative algebra document: {exc}") from exc
@@ -116,12 +127,13 @@ def parse_group_model(doc: Any) -> GroupModel:
     if kind == "Example5G":
         return Example5G()
     if kind == "HeisQuad":
-        return HeisQuad(int(params["d"]))
+        return HeisQuad(parse_int(params["d"], "d"))
     if kind == "TriD":
         d = params["d"]
-        return TriD(int(d[0]), int(d[1]), int(d[2]))
+        return TriD(*(parse_int(d[t], "d") for t in range(3)))
     if kind == "Filiform":
-        return Filiform(int(params["n"]), params["g"])
+        g = [[parse_int(x, "action matrix entry") for x in row] for row in params["g"]]
+        return Filiform(parse_int(params["n"], "n"), g)
     raise InputError(f"unknown group model kind {kind!r}")
 
 
@@ -146,8 +158,8 @@ def parse_presentation(doc: Any) -> Presentation:
         gens = [str(g) for g in doc["gens"]]
         rels = []
         for rel in doc["relations"]:
-            lhs = [(str(g), int(e)) for g, e in rel["lhs"]]
-            rhs = [(str(g), int(e)) for g, e in rel["rhs"]]
+            lhs = [(str(g), parse_int(e, "exponent")) for g, e in rel["lhs"]]
+            rhs = [(str(g), parse_int(e, "exponent")) for g, e in rel["rhs"]]
             rels.append((lhs, rhs))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed presentation document") from exc
@@ -156,7 +168,7 @@ def parse_presentation(doc: Any) -> Presentation:
 
 def parse_filiform_spec(doc: Any) -> FiliformLatticeSpec:
     try:
-        return FiliformLatticeSpec(int(doc["n"]), doc["g"])
+        return FiliformLatticeSpec(parse_int(doc["n"], "n"), doc["g"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed filiform lattice document") from exc
 

@@ -1,14 +1,16 @@
-"""Exact rational matrices and the dense linear algebra the library runs on.
+"""Exact rational matrices and the linear algebra the library runs on.
 
-Entries are `fractions.Fraction`; nothing here ever rounds.  Sizes stay at
-desk scale (<= ~25 x 25), so plain Gaussian elimination is the right tool.
+Entries are `fractions.Fraction`; nothing here ever rounds.  `Matrix` holds
+desk-scale dense matrices (<= ~25 x 25) and eliminates by plain Gaussian
+elimination.  Large sparse systems, such as the O(n^3) x O(n^2) cocycle
+equations, go to `sparse_kernel_basis`, which keeps rows as dicts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, PreconditionError
 
@@ -252,6 +254,54 @@ class Matrix:
             coeffs[n - k] = ck
             Mk = Mk + Matrix.identity(n).scale(ck)
         return coeffs
+
+
+def sparse_kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of {x in Q^ncols : sum_c row[c] x_c = 0 for every row}, rows as {col: value}.
+
+    Each row is reduced by its lowest column: if a pivot row owns that column
+    it is subtracted, otherwise the row becomes a new pivot row scaled to a
+    leading 1.  Pivot rows have no entries left of their pivot, so every
+    subtraction raises the lowest column and the reduction ends.  Back
+    substitution, pivots in decreasing order, then reaches the reduced
+    echelon form.  That form is unique, so the basis, one vector per free
+    column in ascending order, equals `Matrix(rows).kernel_basis()` on the
+    same rows written densely; with no rows it is the standard basis.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x != 0}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = Q(1) / r[c]
+                pivots[c] = {j: x * inv for j, x in r.items()}
+                break
+            _subtract(r, r[c], pivots[c])
+    for c in sorted(pivots, reverse=True):
+        p = pivots[c]
+        for j in [j for j in p if j != c and j in pivots]:
+            _subtract(p, p[j], pivots[j])
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Q(0)] * ncols
+        v[fc] = Q(1)
+        for pc, p in pivots.items():
+            v[pc] = -p.get(fc, Q(0))
+        basis.append(v)
+    return basis
+
+
+def _subtract(r: dict[int, Fraction], f: Fraction, p: Mapping[int, Fraction]) -> None:
+    """r -= f * p on sparse rows, dropping the entries that cancel."""
+    for j, x in p.items():
+        y = r.get(j, 0) - f * x
+        if y:
+            r[j] = y
+        else:
+            del r[j]
 
 
 # -- subspaces ----------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own linear algebra: plain-list
 Gaussian elimination and direct definitional evaluation, so a bug in the
-production path cannot hide inside its own verification.  The exception is
-the last section, which keeps the filiform decision path as it was before it
-became integer-only, to compare the new path's outputs against.
+production path cannot hide inside its own verification.  The exceptions are
+the last two sections, which keep the dense cocycle-space solve and form
+read, and the filiform decision path as it was before it became
+integer-only, to compare the new paths' outputs against.
 """
 
 from fractions import Fraction
@@ -12,9 +13,10 @@ from itertools import combinations, product as iproduct
 from math import isqrt
 
 from nillat.classify import FiliformLatticeSpec, _sylvester_solve_unitriangular, theta_invariant
+from nillat.cocycles import AlternatingForm, _pair_index
 from nillat.errors import InputError, PreconditionError, StructuralError
 from nillat.intlattice import IntRows, mat_identity, mat_mul, xgcd
-from nillat.matrix import Matrix
+from nillat.matrix import Matrix, rref_basis
 from nillat.quadratic import RingElement, ring_of_integers
 
 Q = Fraction
@@ -55,6 +57,22 @@ def kernel_dim(rows):
     ncols = len(rows[0])
     work = [row[:] for row in rows]
     return ncols - len(rref_inplace(work))
+
+
+def dense_kernel_basis(rows, ncols):
+    """Kernel of a list of dense Fraction rows, one vector per free column, via `rref_inplace`."""
+    work = [row[:] for row in rows]
+    pivots = rref_inplace(work)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Q(0)] * ncols
+        v[fc] = Q(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -work[r][fc]
+        basis.append(v)
+    return basis
 
 
 def int_det(m):
@@ -278,6 +296,58 @@ def fundamental_unit_box_search(m: int, coord_bound: int = 10 ** 7) -> RingEleme
                     if x * x == x2:
                         return RingElement(ring, x, y)
     raise PreconditionError("no unit found within the box")
+
+
+# -- the dense cocycle-space solve and form read ------------------------------------
+#
+# Verbatim copies (renamed) of `cocycle_space` as it was when it handed the
+# Z^2 system to `Matrix.kernel_basis` as dense rows, and of
+# `AlternatingForm.flat` as a transpose and a `Matrix.apply`.
+
+
+def dense_cocycle_space(algebra):
+    """(basis of Z^2, basis of B^2) as AlternatingForms.
+
+    Z^2 is the kernel of the linear system (delta w) = 0 over the upper
+    entries w_{ij}, i < j; B^2 is spanned by the forms lam([. , .]).
+    """
+    algebra.validate()
+    n = algebra.dim
+    pairs = _pair_index(n)
+    index = {p: t for t, p in enumerate(pairs)}
+
+    # one row per basis triple: (delta w)(e_i, e_j, e_k) in the w_{ab} unknowns
+    rows = []
+    for _, terms in sorted(algebra.cyclic_terms().items()):
+        row = [Q(0)] * len(pairs)
+        for ab, c in terms.items():
+            row[index[ab]] = c
+        rows.append(row)
+
+    if rows:
+        kernel = Matrix(rows).kernel_basis()
+    else:
+        kernel = [[Q(1) if t == s else Q(0) for s in range(len(pairs))] for t in range(len(pairs))]
+
+    def to_form(coords):
+        return AlternatingForm.from_upper_entries(
+            algebra, {pairs[t]: c for t, c in enumerate(coords) if c != 0}
+        )
+
+    z2 = [to_form(v) for v in kernel]
+
+    # lam([e_a, e_b]) for each coordinate functional lam
+    cob_vecs = [[Q(0)] * len(pairs) for _ in range(n)]
+    for ab, comp in algebra.brackets.items():
+        for lam, c in comp.items():
+            cob_vecs[lam][index[ab]] = c
+    b2 = [to_form(v) for v in rref_basis(cob_vecs)]
+    return z2, b2
+
+
+def dense_flat(form, x):
+    """The covector w(x, .) as a coordinate list."""
+    return form.matrix.transpose().apply(x)
 
 
 # -- the filiform decision path before it became integer-only ----------------------

@@ -66,6 +66,54 @@ def test_filiform_non_integer_entry_rejected(capsys, entry):
     assert "isomorphic" not in doc
 
 
+H1_OVER_Q = '{"dim":1,"unit":[1],"products":[[1,1,[[1,1]]]]}'
+TRID = '{"kind":"TriD","params":{"d":[1,1,1]}}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("cocycles", '{"dim":3.5,"brackets":[[1,2,[[3,1]]]]}'),
+    ("cocycles", '{"dim":"3","brackets":[[1,2,[[3,1]]]]}'),
+    ("cocycles", '{"dim":true,"brackets":[]}'),
+    ("cocycles", '{"dim":Infinity,"brackets":[[1,2,[[3,1]]]]}'),
+    ("cocycles", '{"dim":NaN,"brackets":[[1,2,[[3,1]]]]}'),
+    ("cocycles", '{"dim":3,"brackets":[[1,2.5,[[3,1]]]]}'),
+    ("cocycles", '{"dim":3,"brackets":[[1,2,[[3.2,1]]]]}'),
+    ("symplectic", "decide", '{"dim":1.5,"unit":[1],"products":[[1,1,[[1,1]]]]}'),
+    ("symplectic", "decide", '{"dim":1,"unit":[1],"products":[[1,"1",[[1,1]]]]}'),
+    ("symplectic", "hk-check", '{"algebra":%s,"k":2.9}' % H1_OVER_Q),
+    ("symplectic", "hk-check", '{"algebra":%s,"k":"2"}' % H1_OVER_Q),
+    ("filiform", "theta", '{"n":3.7,"g":[[1,0,0],[6,1,0],[1,9,1]]}'),
+    ("filiform", "theta", '{"n":"3","g":[[1,0,0],[6,1,0],[1,9,1]]}'),
+    ("filiform", "aut", '{"n":3.2,"y_images":[[["y1",1]],[["y2",1]],[["y3",1]]],"z_image":[["z",1]]}'),
+    ("filiform", "aut", '{"n":3,"y_images":[[["y1",1.5]],[["y2",1]],[["y3",1]]],"z_image":[["z",1]]}'),
+    ("filiform", "aut", '{"n":3,"y_images":[[["y1",1]],[["y2",1]],[["y3",1]]],"z_image":[["z",true]]}'),
+    ("phi-aut", '{"m":2.5,"alpha":[1,1],"beta":[1,1]}'),
+    ("phi-aut", '{"m":2,"alpha":[1.5,1],"beta":[1,1]}'),
+    ("phi-aut", '{"m":2,"alpha":[1,1],"beta":[1,"1"]}'),
+    ("gamma111-aut", '{"matrix":[[1,5,2],[2,-1,-1.5],[3,2,0]]}'),
+    ("multiply", '{"model":{"kind":"HeisQuad","params":{"d":2.5}},"a":{"coords":[0,0,0,0,0,0]},'
+                 '"b":{"coords":[0,0,0,0,0,0]}}'),
+    ("multiply", '{"model":{"kind":"TriD","params":{"d":[1,1,1.5]}},"a":{"coords":[0,0,0,0,0,0]},'
+                 '"b":{"coords":[0,0,0,0,0,0]}}'),
+    ("multiply", '{"model":{"kind":"Filiform","params":{"n":3,"g":[[1,0,0],[6.5,1,0],[1,9,1]]}},'
+                 '"a":{"coords":[0,0,0,0]},"b":{"coords":[0,0,0,0]}}'),
+    ("relations", '{"model":%s,"assignment":{"y1":{"coords":[0,0,0,1,0,0]}},'
+                  '"presentation":{"gens":["y1"],"relations":[{"lhs":[["y1",0.5]],"rhs":[]}]}}' % TRID),
+])
+def test_non_integer_json_field_rejected(capsys, argv):
+    """An integer field of a JSON document that is not an integer is an input error."""
+    *command, doc_text = argv
+    code, doc = run_cli(capsys, *command, "--json", doc_text)
+    assert code == 2
+    assert doc["error"] == "input"
+
+
+def test_integral_float_json_field_accepted(capsys):
+    """Like the action-matrix entries, a float equal to an integer is read as that integer."""
+    code, doc = run_cli(capsys, "symplectic", "hk-check", "--json", '{"algebra":%s,"k":2.0}' % H1_OVER_Q)
+    assert code == 0 and doc["degenerate"]
+
+
 def test_filiform_normalize_and_quotients(capsys):
     spec = '{"n":3,"g":[[1,0,0],[6,1,0],[14,9,1]]}'
     code, doc = run_cli(capsys, "filiform", "normalize", "--json", spec)
