@@ -34,7 +34,7 @@ from .intlattice import (
     xgcd,
 )
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, complement_basis, rref_basis, span_dim, span_equal, _unit
+from .matrix import Matrix, Q, complement_basis, parse_int, rref_basis, span_dim, span_equal, _unit
 
 # -- squarefree arithmetic ---------------------------------------------------------
 
@@ -443,17 +443,6 @@ def trid_invariants_from_model(model) -> list[int]:
 # -- filiform lattice specs ----------------------------------------------------------
 
 
-def _integer_entry(x) -> int:
-    """x as an int; booleans, strings and non-integral numbers are rejected, not truncated."""
-    try:
-        integral = not isinstance(x, (bool, str)) and int(x) == x
-    except OverflowError:  # float infinity
-        integral = False
-    if not integral:
-        raise InputError(f"action matrix entry {x!r} is not an integer")
-    return int(x)
-
-
 @dataclass(frozen=True)
 class FiliformLatticeSpec:
     """Lattice L x| Z inside the filiform group, encoded by its action matrix g(1)."""
@@ -462,7 +451,7 @@ class FiliformLatticeSpec:
     g: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, g: Sequence[Sequence[int]]):
-        rows = tuple(tuple(_integer_entry(x) for x in row) for row in g)
+        rows = tuple(tuple(parse_int(x, "action matrix entry") for x in row) for row in g)
         if n < 2 or len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("action matrix must be n x n with n >= 2")
         for i in range(n):

@@ -405,8 +405,8 @@ def cmd_gamma111_aut(args) -> int:
     doc = _load_doc(args)
     central = doc.get("central")
     aut = gamma111_automorphism(
-        jsonio.parse_int_matrix(doc["matrix"]),
-        None if central is None else jsonio.parse_int_matrix(central),
+        [[jsonio.parse_int(x, "matrix entry") for x in row] for row in doc["matrix"]],
+        None if central is None else [[jsonio.parse_int(x, "central entry") for x in row] for row in central],
     )
     _emit({"b": aut.b_matrix, "a": aut.a_matrix})
     return 0

@@ -34,7 +34,7 @@ from .groups import (
     element,
 )
 from .liealg import LieAlgebra
-from .matrix import Matrix
+from .matrix import Matrix, parse_int
 
 
 def parse_rational(x) -> Fraction:
@@ -48,17 +48,6 @@ def parse_rational(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational {x!r}") from exc
     raise InputError(f"bad rational {x!r}")
-
-
-def parse_int(x, what: str) -> int:
-    """x as an int; booleans, strings, non-integral numbers, infinities and NaN are rejected."""
-    try:
-        integral = not isinstance(x, (bool, str)) and int(x) == x
-    except (OverflowError, TypeError, ValueError):  # infinity, NaN, non-numbers
-        integral = False
-    if not integral:
-        raise InputError(f"{what} {x!r} is not an integer")
-    return int(x)
 
 
 def dump_rational(q: Fraction):

@@ -27,6 +27,17 @@ def _frac(x) -> Fraction:
     raise InputError(f"cannot interpret {x!r} as an exact rational")
 
 
+def parse_int(x, what: str) -> int:
+    """x as an int; booleans, strings, non-integral numbers, infinities and NaN are rejected."""
+    try:
+        integral = not isinstance(x, (bool, str)) and int(x) == x
+    except (OverflowError, TypeError, ValueError):  # infinity, NaN, non-numbers
+        integral = False
+    if not integral:
+        raise InputError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 def _unit(dim: int, j: int) -> list[Fraction]:
     """The j-th standard basis vector of Q^dim."""
     v = [Q(0)] * dim
@@ -180,17 +191,8 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list[list[Fraction]]:
-        """Basis of the right kernel {x : M x = 0}."""
-        R, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Q(0)] * self.cols
-            v[fc] = Q(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][fc]
-            basis.append(v)
-        return basis
+        """Basis of the right kernel {x : M x = 0}, one vector per free column."""
+        return sparse_kernel_basis(({c: x for c, x in enumerate(r) if x} for r in self.data), self.cols)
 
     def det(self) -> Fraction:
         if not self.is_square:
@@ -265,8 +267,8 @@ def sparse_kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> l
     subtraction raises the lowest column and the reduction ends.  Back
     substitution, pivots in decreasing order, then reaches the reduced
     echelon form.  That form is unique, so the basis, one vector per free
-    column in ascending order, equals `Matrix(rows).kernel_basis()` on the
-    same rows written densely; with no rows it is the standard basis.
+    column in ascending order, is the one read off the dense reduced
+    echelon form of the same rows; with no rows it is the standard basis.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:

@@ -91,6 +91,9 @@ TRID = '{"kind":"TriD","params":{"d":[1,1,1]}}'
     ("phi-aut", '{"m":2,"alpha":[1.5,1],"beta":[1,1]}'),
     ("phi-aut", '{"m":2,"alpha":[1,1],"beta":[1,"1"]}'),
     ("gamma111-aut", '{"matrix":[[1,5,2],[2,-1,-1.5],[3,2,0]]}'),
+    ("gamma111-aut", '{"matrix":[[1,"5",2],[2,-1,-1],[3,2,0]]}'),
+    ("gamma111-aut", '{"matrix":[[1,"10/2",2],[2,-1,-1],[3,2,0]]}'),
+    ("gamma111-aut", '{"matrix":[[1,0,0],[0,1,0],[0,0,1]],"central":[[0,0,"1"],[0,0,0],[0,0,0]]}'),
     ("multiply", '{"model":{"kind":"HeisQuad","params":{"d":2.5}},"a":{"coords":[0,0,0,0,0,0]},'
                  '"b":{"coords":[0,0,0,0,0,0]}}'),
     ("multiply", '{"model":{"kind":"TriD","params":{"d":[1,1,1.5]}},"a":{"coords":[0,0,0,0,0,0]},'
@@ -112,6 +115,10 @@ def test_integral_float_json_field_accepted(capsys):
     """Like the action-matrix entries, a float equal to an integer is read as that integer."""
     code, doc = run_cli(capsys, "symplectic", "hk-check", "--json", '{"algebra":%s,"k":2.0}' % H1_OVER_Q)
     assert code == 0 and doc["degenerate"]
+    code, doc = run_cli(capsys, "gamma111-aut", "--json", '{"matrix":[[1,5,2],[2,-1,-1],[3,2,0]]}')
+    code_f, doc_f = run_cli(capsys, "gamma111-aut", "--json",
+                            '{"matrix":[[1,5.0,2],[2,-1,-1],[3,2,0]],"central":[[0,0,0.0],[0,0,0],[0,0,0]]}')
+    assert code == code_f == 0 and doc == doc_f
 
 
 def test_filiform_normalize_and_quotients(capsys):

@@ -118,6 +118,8 @@ def test_sparse_kernel_matches_dense_elimination(system):
     before = [dict(row) for row in rows]
     assert sparse_kernel_basis(rows, ncols) == dense_kernel_basis(dense, ncols)
     assert rows == before
+    if rows:
+        assert Matrix(dense).kernel_basis() == dense_kernel_basis(dense, ncols)
 
 
 def test_sparse_kernel_edge_cases():
