@@ -1,9 +1,10 @@
 """Exact rational matrices and the linear algebra the library runs on.
 
 Entries are `fractions.Fraction`; nothing here ever rounds.  `Matrix` holds
-desk-scale dense matrices (<= ~25 x 25) and eliminates by plain Gaussian
-elimination.  Large sparse systems, such as the O(n^3) x O(n^2) cocycle
-equations, go to `sparse_kernel_basis`, which keeps rows as dicts.
+desk-scale dense matrices (<= ~25 x 25).  Its RREF and kernels, and the
+large sparse systems such as the O(n^3) x O(n^2) cocycle equations (through
+`sparse_kernel_basis`), go through one sparse elimination, `_reduced_rows`,
+which keeps rows as {col: value} dicts.
 """
 
 from __future__ import annotations
@@ -167,32 +168,21 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row-echelon form and the pivot column list."""
-        m = self.copy_data()
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(m), pivots
+        pivots = _reduced_rows(self._sparse_rows())
+        order = sorted(pivots)
+        data = [[pivots[pc].get(c, Q(0)) for c in range(self.cols)] for pc in order]
+        data += [[Q(0)] * self.cols for _ in range(self.rows - len(order))]
+        return Matrix(data), order
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right kernel {x : M x = 0}, one vector per free column."""
-        return sparse_kernel_basis(({c: x for c, x in enumerate(r) if x} for r in self.data), self.cols)
+        return sparse_kernel_basis(self._sparse_rows(), self.cols)
+
+    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+        return [{c: x for c, x in enumerate(row) if x} for row in self.data]
 
     def det(self) -> Fraction:
         if not self.is_square:
@@ -258,17 +248,15 @@ class Matrix:
         return coeffs
 
 
-def sparse_kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x in Q^ncols : sum_c row[c] x_c = 0 for every row}, rows as {col: value}.
+def _reduced_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """The reduced echelon form of the rows, as {pivot column: row}, rows as {col: value}.
 
     Each row is reduced by its lowest column: if a pivot row owns that column
     it is subtracted, otherwise the row becomes a new pivot row scaled to a
     leading 1.  Pivot rows have no entries left of their pivot, so every
     subtraction raises the lowest column and the reduction ends.  Back
-    substitution, pivots in decreasing order, then reaches the reduced
-    echelon form.  That form is unique, so the basis, one vector per free
-    column in ascending order, is the one read off the dense reduced
-    echelon form of the same rows; with no rows it is the standard basis.
+    substitution, pivots in decreasing order, then clears every pivot column
+    from the other pivot rows.  The input rows are not modified.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:
@@ -284,6 +272,16 @@ def sparse_kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> l
         p = pivots[c]
         for j in [j for j in p if j != c and j in pivots]:
             _subtract(p, p[j], pivots[j])
+    return pivots
+
+
+def sparse_kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of {x in Q^ncols : sum_c row[c] x_c = 0 for every row}, rows as {col: value}.
+
+    One vector per free column of the reduced echelon form, in ascending
+    order; with no rows it is the standard basis.
+    """
+    pivots = _reduced_rows(rows)
     basis = []
     for fc in range(ncols):
         if fc in pivots:

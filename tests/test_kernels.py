@@ -21,6 +21,7 @@ from helpers import (
     dense_is_cocycle,
     dense_jacobi_violations,
     dense_kernel_basis,
+    rref_inplace,
 )
 from nillat.cocycles import AlternatingForm, cocycle_space
 from nillat.commalg import monomial_quotient
@@ -119,7 +120,11 @@ def test_sparse_kernel_matches_dense_elimination(system):
     assert sparse_kernel_basis(rows, ncols) == dense_kernel_basis(dense, ncols)
     assert rows == before
     if rows:
-        assert Matrix(dense).kernel_basis() == dense_kernel_basis(dense, ncols)
+        m = Matrix(dense)
+        assert m.kernel_basis() == dense_kernel_basis(dense, ncols)
+        work = [row[:] for row in dense]
+        pivots = rref_inplace(work)
+        assert m.rref() == (Matrix(work), pivots)
 
 
 def test_sparse_kernel_edge_cases():
