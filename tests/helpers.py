@@ -16,7 +16,7 @@ from nillat.classify import FiliformLatticeSpec, _sylvester_solve_unitriangular,
 from nillat.cocycles import AlternatingForm, _pair_index
 from nillat.errors import InputError, PreconditionError, StructuralError
 from nillat.intlattice import IntRows, mat_identity, mat_mul, xgcd
-from nillat.matrix import Matrix, rref_basis
+from nillat.matrix import Matrix
 from nillat.quadratic import RingElement, ring_of_integers
 
 Q = Fraction
@@ -300,9 +300,10 @@ def fundamental_unit_box_search(m: int, coord_bound: int = 10 ** 7) -> RingEleme
 
 # -- the dense cocycle-space solve and form read ------------------------------------
 #
-# Verbatim copies (renamed) of `cocycle_space` as it was when it handed the
-# Z^2 system to `Matrix.kernel_basis` as dense rows, and of
-# `AlternatingForm.flat` as a transpose and a `Matrix.apply`.
+# Copies (renamed) of `cocycle_space` as it was when it built the Z^2 system
+# as dense rows, and of `AlternatingForm.flat` as a transpose and a
+# `Matrix.apply`.  The eliminations go through the plain-list `rref_inplace`,
+# so the oracle shares no elimination code with the library.
 
 
 def dense_cocycle_space(algebra):
@@ -324,10 +325,7 @@ def dense_cocycle_space(algebra):
             row[index[ab]] = c
         rows.append(row)
 
-    if rows:
-        kernel = Matrix(rows).kernel_basis()
-    else:
-        kernel = [[Q(1) if t == s else Q(0) for s in range(len(pairs))] for t in range(len(pairs))]
+    kernel = dense_kernel_basis(rows, len(pairs))
 
     def to_form(coords):
         return AlternatingForm.from_upper_entries(
@@ -341,7 +339,8 @@ def dense_cocycle_space(algebra):
     for ab, comp in algebra.brackets.items():
         for lam, c in comp.items():
             cob_vecs[lam][index[ab]] = c
-    b2 = [to_form(v) for v in rref_basis(cob_vecs)]
+    pivots = rref_inplace(cob_vecs)  # cob_vecs now holds the RREF
+    b2 = [to_form(v) for v in cob_vecs[:len(pivots)]]
     return z2, b2
 
 
