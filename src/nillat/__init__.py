@@ -30,7 +30,6 @@ from .classify import (
 from .cocycles import (
     AlternatingForm,
     cocycle_space,
-    is_nondegenerate,
     left_symmetric_product,
 )
 from .commalg import CommAlgebra, radical_and_socle

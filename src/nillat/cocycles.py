@@ -74,10 +74,6 @@ class AlternatingForm:
                         out[j] += a * w
         return out
 
-    def coboundary_value(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
-        L = self.algebra
-        return self(L.bracket(x, y), z) + self(L.bracket(y, z), x) + self(L.bracket(z, x), y)
-
     def is_cocycle(self) -> bool:
         w = self.matrix.data
         return all(
@@ -93,10 +89,6 @@ class AlternatingForm:
 
     def scale(self, c) -> "AlternatingForm":
         return AlternatingForm(self.algebra, self.matrix.scale(c))
-
-
-def is_nondegenerate(form: AlternatingForm) -> bool:
-    return form.is_nondegenerate()
 
 
 def _pair_index(n: int) -> list[tuple[int, int]]:

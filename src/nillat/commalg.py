@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError, StructuralError
-from .matrix import Matrix, Q, rref_basis, _frac, _unit
+from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac
 
 
 class CommAlgebra:
@@ -45,45 +45,41 @@ class CommAlgebra:
             raise InputError("unit coordinate length mismatch")
         self._validate()
 
-    def basis_product(self, i: int, j: int) -> list[Fraction]:
-        if i > j:
-            i, j = j, i
-        out = [Q(0)] * self.dim
-        for k, c in self.products.get((i, j), {}).items():
-            out[k] = c
-        return out
+    def _product(self, i: int, j: int) -> Mapping[int, Fraction]:
+        """e_i e_j as the stored {k: coefficient}."""
+        return self.products.get((i, j) if i <= j else (j, i), {})
+
+    def _times(self, v: Mapping[int, Fraction], j: int) -> dict[int, Fraction]:
+        """v e_j as {k: coefficient}, v given as {i: coefficient}."""
+        out: dict[int, Fraction] = {}
+        for i, a in v.items():
+            for k, c in self._product(i, j).items():
+                out[k] = out.get(k, 0) + a * c
+        return {k: c for k, c in out.items() if c}
 
     def multiply(self, x: Sequence, y: Sequence) -> list[Fraction]:
-        xv = [_frac(a) for a in x]
-        yv = [_frac(a) for a in y]
+        xv = _nonzero(x)
         out = [Q(0)] * self.dim
-        for i, xi in enumerate(xv):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(yv):
-                if yj == 0:
-                    continue
-                for k, c in enumerate(self.basis_product(i, j)):
-                    if c != 0:
-                        out[k] += xi * yj * c
+        for j, b in _nonzero(y).items():
+            for k, c in self._times(xv, j).items():
+                out[k] += b * c
         return out
 
     def mult_operator(self, x: Sequence) -> Matrix:
-        cols = [self.multiply(x, _unit(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols)
+        cols = [self._times(_nonzero(x), j) for j in range(self.dim)]
+        return Matrix([[col.get(k, Q(0)) for col in cols] for k in range(self.dim)])
 
     def _validate(self) -> None:
         n = self.dim
+        unit = _nonzero(self.unit)
         for j in range(n):
-            ej = _unit(n, j)
-            if self.multiply(self.unit, ej) != ej or self.multiply(ej, self.unit) != ej:
+            if self._times(unit, j) != {j: 1}:
                 raise StructuralError("unit element fails the unit axiom")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = self.multiply(self.basis_product(i, j), _unit(n, k))
-                    rhs = self.multiply(_unit(n, i), self.basis_product(j, k))
-                    if lhs != rhs:
+                    # (e_i e_j) e_k against e_i (e_j e_k) = (e_j e_k) e_i
+                    if self._times(self._product(i, j), k) != self._times(self._product(j, k), i):
                         raise StructuralError(f"associativity fails at ({i},{j},{k})")
 
     def is_nilpotent_element(self, x: Sequence) -> bool:
@@ -93,6 +89,10 @@ class CommAlgebra:
                 return True
             v = self.multiply(v, x)
         return False
+
+
+def _nonzero(v: Sequence) -> dict[int, Fraction]:
+    return {i: a for i, a in enumerate(map(_frac, v)) if a}
 
 
 @dataclass
@@ -108,24 +108,20 @@ def radical_and_socle(algebra: CommAlgebra) -> SocleReport:
     Every radical basis vector is re-verified nilpotent by explicit powering.
     """
     n = algebra.dim
-    trace_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            op = algebra.mult_operator(algebra.basis_product(i, j))
-            row.append(sum(op.data[t][t] for t in range(n)))
-        trace_rows.append(row)
-    radical = rref_basis(Matrix(trace_rows).kernel_basis())
+    # tau_m = tr L_{e_m}; the trace form is tr L_{e_i e_j} = sum_m c_ij^m tau_m
+    tau = [sum(algebra._product(m, j).get(j, 0) for j in range(n)) for m in range(n)]
+    trace_rows = [{j: sum(c * tau[m] for m, c in algebra._product(i, j).items()) for j in range(n)}
+                  for i in range(n)]
+    radical = rref_basis(sparse_kernel_basis(trace_rows, n))
     for v in radical:
         if not algebra.is_nilpotent_element(v):
             raise StructuralError("trace-form kernel contains a non-nilpotent")  # pragma: no cover
-    if not radical:
-        socle = rref_basis([_unit(n, j) for j in range(n)])
-    else:
-        rows = []
-        for r in radical:
-            rows.extend(algebra.mult_operator(r).data)
-        socle = rref_basis(Matrix(rows).kernel_basis())
+    # one row per (r, k): the coefficient of e_k in r e_j, over j
+    rows = []
+    for r in map(_nonzero, radical):
+        cols = [algebra._times(r, j) for j in range(n)]
+        rows.extend({j: col[k] for j, col in enumerate(cols) if k in col} for k in range(n))
+    socle = rref_basis(sparse_kernel_basis(rows, n))
     is_local = n - len(radical) == 1
     return SocleReport(radical, socle, is_local)
 

@@ -48,8 +48,7 @@ def heisenberg_over(base: CommAlgebra, k: int = 1) -> HeisenbergOverA:
     for i in range(k):
         for s in range(l):
             for t in range(l):
-                prod = base.basis_product(s, t)
-                comp = {2 * k * l + m: c for m, c in enumerate(prod) if c != 0}
+                comp = {2 * k * l + m: c for m, c in base._product(s, t).items()}
                 if comp:
                     table[(i * l + s, (k + i) * l + t)] = comp
     return HeisenbergOverA(base, k, LieAlgebra(dim, table))
@@ -69,15 +68,20 @@ def h1_symplectic_decision(base: CommAlgebra) -> SymplecticDecision:
     falls back to an explicit search over the cocycle space and is labeled
     "generic-search".
     """
+    return _h1_decision(base)[0]
+
+
+def _h1_decision(base: CommAlgebra) -> tuple[SymplecticDecision, DegeneracyCertificate | None]:
+    """The decision, with the search certificate when the generic search made it."""
     report = radical_and_socle(base)
     if report.is_local:
         if base.dim % 2 != 0:
-            return SymplecticDecision(False, "parity", report)
+            return SymplecticDecision(False, "parity", report), None
         if len(report.socle) > 2:
-            return SymplecticDecision(False, "socle-dim", report)
-        return SymplecticDecision(True, "local-criterion", report)
+            return SymplecticDecision(False, "socle-dim", report), None
+        return SymplecticDecision(True, "local-criterion", report), None
     cert = generic_degeneracy_search(heisenberg_over(base, 1).algebra)
-    return SymplecticDecision(not cert.degenerate, "generic-search", report)
+    return SymplecticDecision(not cert.degenerate, "generic-search", report), cert
 
 
 def h1_cocycle_construct(base: CommAlgebra) -> AlternatingForm:
@@ -87,24 +91,21 @@ def h1_cocycle_construct(base: CommAlgebra) -> AlternatingForm:
     plus a standard symplectic pairing on the f-copy.  Socle dimension 2:
     two functionals with independent socle restrictions feed the e-g and
     f-g pairings; a complement F of a duality partner E of the g-copy
-    carries a standard symplectic form.
+    carries a standard symplectic form.  Non-local A: the search witness.
     """
-    decision = h1_symplectic_decision(base)
+    decision, cert = _h1_decision(base)
     if not decision.symplectic:
         raise PreconditionError("no symplectic cocycle exists")
-    if decision.reason == "generic-search":
-        # non-local input: the search witness is the certificate
-        cert = generic_degeneracy_search(heisenberg_over(base, 1).algebra)
-        if cert.degenerate or cert.witness is None:
+    if cert is not None:
+        if cert.witness is None:
             raise PreconditionError("no symplectic cocycle exists")  # pragma: no cover
         return cert.witness
     H = heisenberg_over(base, 1)
     l = base.dim
     socle = decision.report.socle
-    dim = H.algebra.dim
     entries: dict[tuple[int, int], Fraction] = {}
 
-    functionals = [_dual_functional(base, s) for s in socle]
+    pairings = [_dual_pairing(base, s) for s in socle]
 
     def put(i: int, j: int, c: Fraction) -> None:
         if c == 0 or i == j:
@@ -115,26 +116,21 @@ def h1_cocycle_construct(base: CommAlgebra) -> AlternatingForm:
             entries[(j, i)] = entries.get((j, i), Q(0)) - c
 
     if len(socle) == 1:
-        mu = functionals[0]
-        for s in range(l):
-            for t in range(l):
-                val = _apply(mu, base.basis_product(s, t))
+        for s, row in enumerate(pairings[0]):
+            for t, val in enumerate(row):
                 put(H.e_index(0, s), H.g_index(t), val)
         for s in range(0, l, 2):
             put(H.f_index(0, s), H.f_index(0, s + 1), Q(1))
     else:
-        f1, f2 = functionals
+        p1, p2 = pairings
         pair_rows = []
         for s in range(l):
-            row1 = [_apply(f1, base.basis_product(s, t)) for t in range(l)]
-            row2 = [_apply(f2, base.basis_product(s, t)) for t in range(l)]
-            pair_rows.append((H.e_index(0, s), row1))
-            pair_rows.append((H.f_index(0, s), row2))
+            pair_rows.append((H.e_index(0, s), p1[s]))
+            pair_rows.append((H.f_index(0, s), p2[s]))
         for idx, row in pair_rows:
             for t, val in enumerate(row):
                 put(idx, H.g_index(t), val)
         # choose E: l rows of the 2l x l pairing matrix forming an invertible block
-        pairing = Matrix([row for _, row in pair_rows])
         chosen: list[int] = []
         for r in range(2 * l):
             if len(chosen) == l:
@@ -156,12 +152,12 @@ def h1_cocycle_construct(base: CommAlgebra) -> AlternatingForm:
     return form
 
 
-def _dual_functional(base: CommAlgebra, socle_vec: Sequence[Fraction]) -> list[Fraction]:
-    """A functional equal to 1 on the given socle vector, 0 on complementary coords."""
+def _dual_pairing(base: CommAlgebra, socle_vec: Sequence[Fraction]) -> list[list[Fraction]]:
+    """[[mu(e_s e_t) for t] for s], mu the functional equal to 1 on the given socle
+    vector and 0 on the coordinates other than its pivot."""
     piv = next(i for i, c in enumerate(socle_vec) if c != 0)
-    out = [Q(0)] * base.dim
-    out[piv] = 1 / socle_vec[piv]
-    return out
+    inv = 1 / socle_vec[piv]
+    return [[base._product(s, t).get(piv, 0) * inv for t in range(base.dim)] for s in range(base.dim)]
 
 
 def _apply(functional: Sequence[Fraction], vec: Sequence[Fraction]) -> Fraction:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError, StructuralError
-from .matrix import Matrix, Q, rref_basis, span_dim, in_span, _frac, _unit
+from .matrix import Matrix, Q, in_span, rref_basis, span_dim, sparse_kernel_basis, _frac, _unit
 
 
 class LieAlgebra:
@@ -66,8 +66,16 @@ class LieAlgebra:
         return out
 
     def ad(self, x: Sequence) -> Matrix:
-        cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols)
+        """Column j is [x, e_j] = sum_i x_i [e_i, e_j], read off the stored brackets."""
+        xv = [_frac(a) for a in x]
+        if len(xv) != self.dim:
+            raise InputError("vector length does not match algebra dimension")
+        m = [[Q(0)] * self.dim for _ in range(self.dim)]
+        for (i, j), comp in self.brackets.items():
+            for k, c in comp.items():
+                m[k][j] += xv[i] * c
+                m[k][i] -= xv[j] * c
+        return Matrix(m)
 
     # -- validation ----------------------------------------------------------
 
@@ -127,22 +135,18 @@ class LieAlgebra:
         return rref_basis(vecs)
 
     def center_basis(self) -> list[list[Fraction]]:
-        # x central iff ad(e_j)^T-stacked system kills x
-        rows = []
-        for j in range(self.dim):
-            ad_j = self.ad(_unit(self.dim, j))
-            rows.extend(ad_j.scale(-1).data)  # [x, e_j] = -[e_j, x]
-        return Matrix(rows).kernel_basis()
+        # x central iff the coefficient of e_k in [x, e_j] = sum_i x_i [e_i, e_j] is 0 for all (j, k)
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j), comp in self.brackets.items():
+            for k, c in comp.items():
+                rows.setdefault((j, k), {})[i] = c
+                rows.setdefault((i, k), {})[j] = -c
+        return sparse_kernel_basis([rows[jk] for jk in sorted(rows)], self.dim)
 
     def centralizer_basis(self, subspace: Sequence[Sequence]) -> list[list[Fraction]]:
         """{x : [x, s] = 0 for all s in subspace}."""
-        rows = []
-        for s in subspace:
-            ad_s = self.ad(s)
-            rows.extend(ad_s.scale(-1).data)
-        if not rows:
-            return rref_basis(_unit_basis(self.dim))
-        return rref_basis(Matrix(rows).kernel_basis())
+        rows = [dict(enumerate(row)) for s in subspace for row in self.ad(s).data]
+        return rref_basis(sparse_kernel_basis(rows, self.dim))
 
     def bracket_span(self, basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> list[list[Fraction]]:
         vecs = [self.bracket(a, b) for a in basis_a for b in basis_b]
@@ -194,14 +198,10 @@ class LieAlgebra:
                     # subtracting v[pc] * R_r moves mass off the pivot coordinate
                     T[i][pc] = -R.data[r][i]
         Tm = Matrix(T)
-        rows = []
-        for j in range(self.dim):
-            cond = Tm * self.ad(_unit(self.dim, j)).scale(-1)  # x -> [x, e_j] mod cur
-            rows.extend(cond.data)
-        rows = [r for r in rows if any(c != 0 for c in r)]
-        if not rows:
-            return rref_basis(_unit_basis(self.dim))
-        return rref_basis(Matrix(rows).kernel_basis())
+        # x -> [x, e_j] = -ad(e_j) x, reduced mod cur
+        rows = [dict(enumerate(row))
+                for j in range(self.dim) for row in (Tm * self.ad(_unit(self.dim, j))).data]
+        return rref_basis(sparse_kernel_basis(rows, self.dim))
 
     def nilpotency_class(self) -> int:
         series = self.descending_central_series()

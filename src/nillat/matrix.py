@@ -334,27 +334,6 @@ def span_equal(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool
     return rref_basis(basis_a) == rref_basis(basis_b)
 
 
-def intersect_spans(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> list[list[Fraction]]:
-    """RREF basis of the intersection of two spans inside the same ambient space."""
-    if not basis_a or not basis_b:
-        return []
-    a = [[_frac(x) for x in v] for v in basis_a]
-    b = [[_frac(x) for x in v] for v in basis_b]
-    # Zassenhaus: rows (v | v) for v in A, (w | 0) for w in B.
-    n = len(a[0])
-    rows = [v + v for v in a] + [w + [Q(0)] * n for w in b]
-    R, pivots = Matrix(rows).rref()
-    out = []
-    for i, row in enumerate(R.data):
-        if i < len(pivots) and all(x == 0 for x in row[:n]) and any(x != 0 for x in row[n:]):
-            out.append(row[n:])
-        elif all(x == 0 for x in row[:n]):
-            tail = row[n:]
-            if any(x != 0 for x in tail):
-                out.append(tail)
-    return rref_basis(out)
-
-
 def complement_basis(basis: Sequence[Sequence], dim: int) -> list[list[Fraction]]:
     """Standard basis vectors completing `basis` to a basis of Q^dim."""
     cur = [list(map(_frac, v)) for v in basis]

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own linear algebra: plain-list
 Gaussian elimination and direct definitional evaluation, so a bug in the
 production path cannot hide inside its own verification.  The exceptions are
-the last two sections, which keep the dense cocycle-space solve and form
-read, and the filiform decision path as it was before it became
-integer-only, to compare the new paths' outputs against.
+the last three sections, which keep the dense cocycle-space solve and form
+read, the dense commutative-algebra products, trace form and socle, and the
+filiform decision path as it was before it became integer-only, to compare
+the new paths' outputs against.
 """
 
 from fractions import Fraction
@@ -211,15 +212,33 @@ def dense_jacobi_violations(algebra):
     return bad
 
 
+def coboundary_value(form, x, y, z):
+    """(dw)(x, y, z) = w([x,y], z) + w([y,z], x) + w([z,x], y), with the dense bracket."""
+    L = form.algebra
+    return form(L.bracket(x, y), z) + form(L.bracket(y, z), x) + form(L.bracket(z, x), y)
+
+
 def dense_is_cocycle(form):
     """(dw)(e_i, e_j, e_k) = 0 on every basis triple, by the coboundary formula."""
     n = form.algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if form.coboundary_value(_unit(n, i), _unit(n, j), _unit(n, k)) != 0:
+                if coboundary_value(form, _unit(n, i), _unit(n, j), _unit(n, k)) != 0:
                     return False
     return True
+
+
+def dense_ad(algebra, x):
+    """Rows of ad(x), column j being the dense bracket [x, e_j]."""
+    cols = [algebra.bracket(x, _unit(algebra.dim, j)) for j in range(algebra.dim)]
+    return [list(row) for row in zip(*cols)]
+
+
+def dense_center_basis(algebra):
+    """Kernel of the stacked [x, e_j] = -ad(e_j) x conditions, through `rref_inplace`."""
+    rows = [[-c for c in row] for j in range(algebra.dim) for row in dense_ad(algebra, _unit(algebra.dim, j))]
+    return dense_kernel_basis(rows, algebra.dim)
 
 
 def dense_cybe_check(algebra, r):
@@ -347,6 +366,89 @@ def dense_cocycle_space(algebra):
 def dense_flat(form, x):
     """The covector w(x, .) as a coordinate list."""
     return form.matrix.transpose().apply(x)
+
+
+# -- the dense commutative-algebra path ----------------------------------------------
+#
+# Copies (renamed) of `CommAlgebra.basis_product`, `multiply`, `mult_operator`,
+# `_validate` and `radical_and_socle` as they were when every product went
+# through dense unit vectors and the trace form was the trace of one n x n
+# operator per basis pair.  They take anything with `dim`, `products` and
+# `unit`; the kernels go through the plain-list `rref_inplace`.
+
+
+def dense_basis_product(algebra, i, j):
+    if i > j:
+        i, j = j, i
+    out = [Q(0)] * algebra.dim
+    for k, c in algebra.products.get((i, j), {}).items():
+        out[k] = c
+    return out
+
+
+def dense_multiply(algebra, x, y):
+    xv = [Q(a) for a in x]
+    yv = [Q(a) for a in y]
+    out = [Q(0)] * algebra.dim
+    for i, xi in enumerate(xv):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(yv):
+            if yj == 0:
+                continue
+            for k, c in enumerate(dense_basis_product(algebra, i, j)):
+                if c != 0:
+                    out[k] += xi * yj * c
+    return out
+
+
+def dense_mult_operator(algebra, x):
+    """Rows of the matrix of y -> x y."""
+    cols = [dense_multiply(algebra, x, _unit(algebra.dim, j)) for j in range(algebra.dim)]
+    return [list(row) for row in zip(*cols)]
+
+
+def dense_validate(algebra):
+    n = algebra.dim
+    for j in range(n):
+        ej = _unit(n, j)
+        if dense_multiply(algebra, algebra.unit, ej) != ej or dense_multiply(algebra, ej, algebra.unit) != ej:
+            raise StructuralError("unit element fails the unit axiom")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = dense_multiply(algebra, dense_basis_product(algebra, i, j), _unit(n, k))
+                rhs = dense_multiply(algebra, _unit(n, i), dense_basis_product(algebra, j, k))
+                if lhs != rhs:
+                    raise StructuralError(f"associativity fails at ({i},{j},{k})")
+
+
+def dense_rref_basis(vectors):
+    """RREF basis of the span, through `rref_inplace`."""
+    work = [[Q(x) for x in v] for v in vectors]
+    return work[:len(rref_inplace(work))]
+
+
+def dense_radical_and_socle(algebra):
+    """(radical, socle, is_local): the trace-form kernel and its annihilator."""
+    n = algebra.dim
+    trace_rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            op = dense_mult_operator(algebra, dense_basis_product(algebra, i, j))
+            row.append(sum(op[t][t] for t in range(n)))
+        trace_rows.append(row)
+    radical = dense_rref_basis(dense_kernel_basis(trace_rows, n))
+    if not radical:
+        socle = dense_rref_basis([_unit(n, j) for j in range(n)])
+    else:
+        rows = []
+        for r in radical:
+            rows.extend(dense_mult_operator(algebra, r))
+        socle = dense_rref_basis(dense_kernel_basis(rows, n))
+    is_local = n - len(radical) == 1
+    return radical, socle, is_local
 
 
 # -- the filiform decision path before it became integer-only ----------------------

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import pytest
 
+from helpers import coboundary_value
+from nillat import heisenberg
 from nillat.cocycles import cocycle_space
 from nillat.commalg import (
     CommAlgebra,
@@ -113,7 +115,7 @@ def test_decision_true_and_construction(name, algebra):
     # independent re-verification of both certificates
     assert form.matrix.det() != 0
     for i, j, k in combinations(range(n), 3):
-        assert form.coboundary_value(_unit(n, i), _unit(n, j), _unit(n, k)) == 0
+        assert coboundary_value(form, _unit(n, i), _unit(n, j), _unit(n, k)) == 0
 
 
 @pytest.mark.parametrize(
@@ -155,6 +157,28 @@ def test_nonlocal_quadratic_field_is_symplectic():
     # constructibility extends to the non-local true case via the search witness
     form = h1_cocycle_construct(field)
     assert form.is_cocycle() and form.is_nondegenerate()
+
+
+@pytest.mark.parametrize("algebra,searches", [
+    (example6_algebra(), 0),
+    (CommAlgebra(2, {(0, 0): {0: 1}, (1, 1): {1: 1}}, [1, 1]), 1),
+], ids=["local", "non-local"])
+def test_construct_computes_report_and_search_once(monkeypatch, algebra, searches):
+    calls = {"report": 0, "search": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(heisenberg, "radical_and_socle", counted("report", heisenberg.radical_and_socle))
+    monkeypatch.setattr(heisenberg, "generic_degeneracy_search",
+                        counted("search", heisenberg.generic_degeneracy_search))
+    form = h1_cocycle_construct(algebra)
+    assert form.is_cocycle() and form.is_nondegenerate()
+    # the local path decides from the socle report alone and never searches
+    assert calls == {"report": 1, "search": searches}
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -3,29 +3,39 @@
 Jacobi, the cocycle test and the CYBE test read `LieAlgebra.cyclic_terms`;
 the oracles in `helpers` evaluate the same identities on unit vectors for
 every basis triple.  Bracket tables are drawn at random, most of them not
-Lie; 2-step tables satisfy Jacobi by construction.  The sparse elimination,
-the cocycle-space solve built on it and the form read `flat` are compared
-with plain-list elimination and with dense copies of the earlier code.
+Lie; 2-step tables satisfy Jacobi by construction.  `ad` and `center_basis`,
+which read the stored brackets, are compared with the dense bracket on unit
+vectors.  The sparse elimination, the cocycle-space solve built on it, the
+form read `flat` and the commutative-algebra products, validation, trace
+form and socle are compared with plain-list elimination and with dense
+copies of the earlier code.
 """
 
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_force_cocycle_dim,
+    dense_ad,
+    dense_center_basis,
     dense_cocycle_space,
     dense_cybe_check,
     dense_flat,
     dense_is_cocycle,
     dense_jacobi_violations,
     dense_kernel_basis,
+    dense_mult_operator,
+    dense_multiply,
+    dense_radical_and_socle,
+    dense_validate,
     rref_inplace,
 )
 from nillat.cocycles import AlternatingForm, cocycle_space
-from nillat.commalg import monomial_quotient
-from nillat.errors import InputError
+from nillat.commalg import CommAlgebra, frobenius_quadratic_algebra, monomial_quotient, radical_and_socle
+from nillat.errors import InputError, StructuralError
 from nillat.heisenberg import heisenberg_over
 from nillat.liealg import LieAlgebra
 from nillat.matrix import Matrix, sparse_kernel_basis
@@ -78,6 +88,9 @@ def skew_matrices(n):
 def test_sparse_checks_match_dense_oracles(data):
     L = data.draw(bracket_tables())
     assert L.jacobi_violations() == dense_jacobi_violations(L)
+    assert L.center_basis() == dense_center_basis(L)
+    x = data.draw(st.lists(st.one_of(small, st.integers(-3, 3)), min_size=L.dim, max_size=L.dim))
+    assert L.ad(x).data == dense_ad(L, x)
     w = data.draw(skew_matrices(L.dim))
     assert AlternatingForm(L, w).is_cocycle() == dense_is_cocycle(AlternatingForm(L, w))
     r = data.draw(skew_matrices(L.dim))
@@ -137,11 +150,10 @@ def test_sparse_kernel_edge_cases():
 
 
 @st.composite
-def monomial_heisenbergs(draw, max_dim=15):
-    """H_k(A) for a random monomial quotient A = Q[x_1..x_v] / (monomials outside an order ideal)."""
-    k = draw(st.integers(1, 3))
+def monomial_ideals(draw, max_size):
+    """An order ideal of monomials in 1-3 variables, 1 first: the basis of a monomial quotient."""
     nvars = draw(st.integers(1, 3))
-    size = draw(st.integers(1, max_dim // (2 * k + 1)))
+    size = draw(st.integers(1, max_size))
     ideal = [(0,) * nvars]
     while len(ideal) < size:
         corners = sorted({
@@ -150,7 +162,14 @@ def monomial_heisenbergs(draw, max_dim=15):
             and all(m[:v] + (m[v] - 1,) + m[v + 1:] in ideal for v in range(nvars) if m[v])
         })
         ideal.append(draw(st.sampled_from(corners)))
-    return heisenberg_over(monomial_quotient(ideal), k).algebra
+    return ideal
+
+
+@st.composite
+def monomial_heisenbergs(draw, max_dim=15):
+    """H_k(A) for a random monomial quotient A = Q[x_1..x_v] / (monomials outside an order ideal)."""
+    k = draw(st.integers(1, 3))
+    return heisenberg_over(monomial_quotient(draw(monomial_ideals(max_dim // (2 * k + 1)))), k).algebra
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,3 +195,63 @@ def test_flat_matches_dense_read(data):
             form.flat(wrong)
         with pytest.raises(InputError, match="vector length"):
             dense_flat(form, wrong)
+
+
+def _direct_product(a, b):
+    n = a.dim
+    products = dict(a.products)
+    products.update({(n + i, n + j): {n + k: c for k, c in comp.items()} for (i, j), comp in b.products.items()})
+    return CommAlgebra(n + b.dim, products, a.unit + b.unit)
+
+
+local_algebras = st.one_of(
+    monomial_ideals(8).map(monomial_quotient),
+    st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=6).map(frobenius_quadratic_algebra),
+)
+comm_algebras = st.one_of(
+    local_algebras,
+    st.tuples(monomial_ideals(4).map(monomial_quotient), local_algebras)
+    .filter(lambda ab: ab[0].dim + ab[1].dim <= 8).map(lambda ab: _direct_product(*ab)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(comm_algebras, st.data())
+def test_commalg_matches_dense_oracle(algebra, data):
+    rep = radical_and_socle(algebra)
+    assert (rep.radical, rep.socle, rep.is_local) == dense_radical_and_socle(algebra)
+    n = algebra.dim
+    x, y = (data.draw(st.lists(st.one_of(small, st.integers(-3, 3)), min_size=n, max_size=n)) for _ in "xy")
+    assert algebra.multiply(x, y) == dense_multiply(algebra, x, y)
+    assert algebra.mult_operator(x).data == dense_mult_operator(algebra, x)
+
+
+@st.composite
+def product_tables(draw, max_dim=4):
+    """(dim, products, unit), unital in e_0 half of the time, mostly not associative."""
+    n = draw(st.integers(1, max_dim))
+    unital = draw(st.booleans())
+    table = {(0, j): {j: F(1)} for j in range(n)} if unital else {}
+    for i in range(1 if unital else 0, n):
+        for j in range(i, n):
+            comp = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([F(1), F(-1), F(2)]), max_size=2))
+            if comp:
+                table[(i, j)] = comp
+    unit = [F(1)] + [F(0)] * (n - 1) if unital else draw(st.lists(st.sampled_from([F(0), F(1)]), min_size=n, max_size=n))
+    return n, table, unit
+
+
+def _structural_message(build):
+    try:
+        build()
+    except StructuralError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_tables())
+def test_commalg_validation_matches_dense_oracle(table):
+    n, products, unit = table
+    want = _structural_message(lambda: dense_validate(SimpleNamespace(dim=n, products=products, unit=unit)))
+    assert _structural_message(lambda: CommAlgebra(n, products, unit)) == want

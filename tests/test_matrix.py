@@ -8,7 +8,6 @@ from nillat.matrix import (
     Matrix,
     complement_basis,
     in_span,
-    intersect_spans,
     nilpotent_exp,
     nilpotent_log,
     nilpotency_index,
@@ -79,8 +78,6 @@ def test_span_helpers():
     assert not in_span([1, 0, 0], basis)
     comp = complement_basis(basis, 3)
     assert span_dim(basis + comp) == 3
-    inter = intersect_spans([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]])
-    assert inter == [[F(0), F(1), F(0)]]
 
 
 def test_nilpotent_exp_examples():

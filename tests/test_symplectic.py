@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import coboundary_value
 from nillat.cocycles import AlternatingForm, cocycle_space
 from nillat.errors import InputError, PreconditionError
 from nillat.liealg import (
@@ -47,7 +48,7 @@ def test_filiform_cocycle_n2():
     assert w.matrix.data[0][3] == 1 and w.matrix.data[1][2] == -1
     # forced by the cocycle property on the first triple
     n = 4
-    assert w.coboundary_value(_unit(n, 0), _unit(n, 1), _unit(n, 2)) == 0
+    assert coboundary_value(w, _unit(n, 0), _unit(n, 1), _unit(n, 2)) == 0
 
 
 def test_filiform_cocycle_n3():
