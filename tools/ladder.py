@@ -1,7 +1,7 @@
-"""Layer ladder for the cocycle-space solve, on one checkout or a pair.
+"""Layer ladder for the cocycle-space solve and the socle computation, on one checkout or a pair.
 
     python3 tools/ladder.py [CHECKOUT]
-    python3 tools/ladder.py PARENT CHANGE > BENCH_sparse_z2.json
+    python3 tools/ladder.py PARENT CHANGE > BENCH_commalg.json
 
 With one checkout (default: the checkout this script sits in), imports
 `nillat` from CHECKOUT/src and prints one JSON document.  Each rung times
@@ -14,11 +14,14 @@ of the wall time in ms:
   H_2 system and reads every Z^2 form on the g-copy;
 - `Matrix.kernel_basis` on the rows of every Z^2 form of H_1(Q[x]/x^j),
   j = 2..8, stacked: the common-kernel system of
-  `generic_degeneracy_search`.
+  `generic_degeneracy_search`;
+- `radical_and_socle(Q[x]/x^j)`, j = 2..12;
+- `truncated_polynomials(j)`, j = 2..12: building Q[x]/x^j, which checks
+  the unit axiom and associativity on every basis triple.
 
-dim Z^2 (or the certificate kind, or the kernel dimension) is reported
-beside each rung, so two ladders can be checked to have computed the same
-thing.
+dim Z^2 (or the certificate kind, the kernel dimension, or the radical and
+socle dimensions) is reported beside each rung, so two ladders can be
+checked to have computed the same thing.
 
 With two checkouts, runs the one-checkout ladder on each in its own
 process, parent first, checks that every rung computed the same thing, and
@@ -41,7 +44,9 @@ from pathlib import Path
 REPEATS = 5
 WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, and H_2(Q[x]/x^j), "
         "j=2..6; hk_degeneracy_check(Q[x]/x^j, 2), j=2..6; Matrix.kernel_basis on the stacked Z^2 rows "
-        "of H_1(Q[x]/x^j), j=2..8; min of %d wall-time samples and spread (max-min)/min" % REPEATS)
+        "of H_1(Q[x]/x^j), j=2..8; and of the socle computation: radical_and_socle(Q[x]/x^j) and the "
+        "construction truncated_polynomials(j), j=2..12; min of %d wall-time samples and spread "
+        "(max-min)/min" % REPEATS)
 
 
 def _time(fn):
@@ -74,7 +79,7 @@ def _revision(checkout: Path) -> str:
 
 def ladder() -> list[dict]:
     from nillat.cocycles import cocycle_space
-    from nillat.commalg import truncated_polynomials
+    from nillat.commalg import radical_and_socle, truncated_polynomials
     from nillat.heisenberg import heisenberg_over, hk_degeneracy_check
     from nillat.matrix import Matrix
 
@@ -95,6 +100,14 @@ def ladder() -> list[dict]:
         kernel, t = _time(stack.kernel_basis)
         rungs.append({"op": "Matrix.kernel_basis", "algebra": f"Z^2 rows of H_1(Q[x]/x^{j})", "dim": L.dim,
                       "rows": stack.rows, "kernel_dim": len(kernel), **t})
+    for j in range(2, 13):
+        A = truncated_polynomials(j)
+        rep, t = _time(lambda: radical_and_socle(A))
+        rungs.append({"op": "radical_and_socle", "algebra": f"Q[x]/x^{j}", "dim": j,
+                      "radical_dim": len(rep.radical), "socle_dim": len(rep.socle), **t})
+    for j in range(2, 13):
+        A, t = _time(lambda: truncated_polynomials(j))
+        rungs.append({"op": "truncated_polynomials", "algebra": f"Q[x]/x^{j}", "dim": A.dim, **t})
     return rungs
 
 
