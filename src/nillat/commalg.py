@@ -66,7 +66,8 @@ class CommAlgebra:
         return out
 
     def mult_operator(self, x: Sequence) -> Matrix:
-        cols = [self._times(_nonzero(x), j) for j in range(self.dim)]
+        xv = _nonzero(x)
+        cols = [self._times(xv, j) for j in range(self.dim)]
         return Matrix([[col.get(k, Q(0)) for col in cols] for k in range(self.dim)])
 
     def _validate(self) -> None:

@@ -153,8 +153,7 @@ def h1_cocycle_construct(base: CommAlgebra) -> AlternatingForm:
 
 
 def _dual_pairing(base: CommAlgebra, socle_vec: Sequence[Fraction]) -> list[list[Fraction]]:
-    """[[mu(e_s e_t) for t] for s], mu the functional equal to 1 on the given socle
-    vector and 0 on the coordinates other than its pivot."""
+    """mu(e_s e_t) in row s, column t; mu is 1 on the socle vector and 0 on the other coordinates."""
     piv = next(i for i, c in enumerate(socle_vec) if c != 0)
     inv = 1 / socle_vec[piv]
     return [[base._product(s, t).get(piv, 0) * inv for t in range(base.dim)] for s in range(base.dim)]
