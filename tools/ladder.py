@@ -24,9 +24,12 @@ socle dimensions) is reported beside each rung, so two ladders can be
 checked to have computed the same thing.
 
 With two checkouts, runs the one-checkout ladder on each in its own
-process, parent first, checks that every rung computed the same thing, and
-prints one merged document: `parent_*` and `change_*` per rung and the
-speedup parent min / change min.  Standard library only; nothing is
+process, three rounds alternating which checkout goes first, checks that
+every rung computed the same thing, and prints one merged document per
+rung: `parent_min_ms` and `change_min_ms`, the minimum over all rounds;
+`parent_spread` and `change_spread`, (max - min) / min of the three
+per-round minima, which shows how far the host's speed moved between
+processes; and the speedup parent min / change min.  Standard library only; nothing is
 written to disk.
 """
 
@@ -42,11 +45,13 @@ import time
 from pathlib import Path
 
 REPEATS = 5
+ROUNDS = 3
 WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, and H_2(Q[x]/x^j), "
         "j=2..6; hk_degeneracy_check(Q[x]/x^j, 2), j=2..6; Matrix.kernel_basis on the stacked Z^2 rows "
         "of H_1(Q[x]/x^j), j=2..8; and of the socle computation: radical_and_socle(Q[x]/x^j) and the "
-        "construction truncated_polynomials(j), j=2..12; min of %d wall-time samples and spread "
-        "(max-min)/min" % REPEATS)
+        "construction truncated_polynomials(j), j=2..12; min of %d wall-time samples and their spread "
+        "(max-min)/min; a merged ladder takes the min over %d alternating rounds and the spread of the "
+        "per-round minima" % (REPEATS, ROUNDS))
 
 
 def _time(fn):
@@ -125,24 +130,27 @@ def _one(checkout: Path) -> dict:
 
 
 def _merged(parent: Path, change: Path) -> dict:
-    docs = []
-    for checkout in (parent, change):
-        proc = subprocess.run([sys.executable, __file__, str(checkout)], capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"ladder failed on {checkout}:\n{proc.stderr}")
-        docs.append(json.loads(proc.stdout))
-    p, c = docs
-    if len(p["rungs"]) != len(c["rungs"]):
-        raise SystemExit("the two ladders have different rungs")
+    docs: dict[Path, list[dict]] = {parent: [], change: []}
+    for r in range(ROUNDS):
+        for checkout in (parent, change) if r % 2 == 0 else (change, parent):
+            proc = subprocess.run([sys.executable, __file__, str(checkout)], capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"ladder failed on {checkout}:\n{proc.stderr}")
+            docs[checkout].append(json.loads(proc.stdout))
+    p, c = docs[parent][0], docs[change][0]
+    if len({len(d["rungs"]) for d in docs[parent] + docs[change]}) != 1:
+        raise SystemExit("the ladders have different rungs")
     rows = []
-    for a, b in zip(p["rungs"], c["rungs"]):
+    for i, a in enumerate(p["rungs"]):
         same = {k: v for k, v in a.items() if k not in ("min_ms", "spread")}
-        if same != {k: v for k, v in b.items() if k not in ("min_ms", "spread")}:
-            raise SystemExit(f"rung computed different things: {a} vs {b}")
+        for d in docs[parent] + docs[change]:
+            if same != {k: v for k, v in d["rungs"][i].items() if k not in ("min_ms", "spread")}:
+                raise SystemExit(f"rung computed different things: {a} vs {d['rungs'][i]}")
+        pm, cm = ([d["rungs"][i]["min_ms"] for d in docs[side]] for side in (parent, change))
         rows.append({**same,
-                     "parent_min_ms": a["min_ms"], "parent_spread": a["spread"],
-                     "change_min_ms": b["min_ms"], "change_spread": b["spread"],
-                     "speedup": round(a["min_ms"] / b["min_ms"], 2)})
+                     "parent_min_ms": min(pm), "parent_spread": round((max(pm) - min(pm)) / min(pm), 3),
+                     "change_min_ms": min(cm), "change_spread": round((max(cm) - min(cm)) / min(cm), 3),
+                     "speedup": round(min(pm) / min(cm), 2)})
     return {
         "what": WHAT,
         "command": "python3 tools/ladder.py PARENT CHANGE",
@@ -150,6 +158,7 @@ def _merged(parent: Path, change: Path) -> dict:
         "change": c["revision"],
         "host": {k: p[k] for k in ("python", "nproc", "cpu_model")},
         "repeats": REPEATS,
+        "rounds": ROUNDS,
         "rungs": rows,
     }
 
