@@ -12,22 +12,8 @@ from typing import Sequence
 
 from . import unipoly
 from .errors import InputError, PreconditionError, StructuralError
-from .groups import (
-    GroupElement,
-    TriD,
-    check_relations,
-    commutator,
-    element,
-    trid_presentation,
-)
 from .intlattice import det_int
 from .matrix import Matrix
-from .quadratic import (
-    QuadraticRing,
-    RingElement,
-    abs_embedding_vs_one,
-    unit_exponent,
-)
 
 # -- characteristic polynomial machinery ----------------------------------------------
 
@@ -143,6 +129,8 @@ def phi_automorphism(ring: QuadraticRing, alpha: RingElement, beta: RingElement)
     product; Anosov iff the ring is real and alpha = eps^n, beta = eps^m with
     n m (n + m) != 0.
     """
+    from .quadratic import unit_exponent
+
     if not (alpha.is_unit() and beta.is_unit()):
         raise PreconditionError("alpha and beta must be units")
     gamma = alpha * beta
@@ -181,6 +169,8 @@ def _verify_ring_automorphism(ring, alpha, beta, gamma) -> None:
 
 def eigenvalue_moduli_report(phi: PhiAutomorphism) -> list[int]:
     """For each of the six eigenvalues: -1, 0, 1 as |lambda| <, =, > 1 (exact)."""
+    from .quadratic import abs_embedding_vs_one
+
     out = []
     for elem, sign in phi.eigen:
         if phi.ring.m < 0:
@@ -208,6 +198,8 @@ def gamma111_automorphism(
     Requires det m = +-1; all presentation relations are re-verified in the
     coordinate model and the center action A = det(B) B^-1 is returned.
     """
+    from .groups import TriD, check_relations, commutator, element, trid_presentation
+
     rows = _check_3x3(m)
     det = det_int(rows)
     if det not in (1, -1):
@@ -270,7 +262,14 @@ def filiform_aut_constraints(
     z^{+-1} M; the diagonal signs propagate (all equal); every defining
     relation is preserved.
     """
-    from .groups import Filiform, evaluate_word, filiform_presentation, filiform_standard_assignment, standard_filiform_action
+    from .groups import (
+        Filiform,
+        check_relations,
+        evaluate_word,
+        filiform_presentation,
+        filiform_standard_assignment,
+        standard_filiform_action,
+    )
 
     if len(y_images) != n:
         raise InputError("need images for y_1..y_n")

@@ -35,28 +35,9 @@ from .intlattice import (
 )
 from .liealg import LieAlgebra
 from .matrix import Matrix, Q, complement_basis, parse_int, rref_basis, span_dim, span_equal, _unit
+from .quadratic import squarefree_part
 
 # -- squarefree arithmetic ---------------------------------------------------------
-
-
-def squarefree_part(n: int) -> int:
-    """Squarefree integer of the same sign with n / result a perfect square."""
-    if n == 0:
-        raise InputError("squarefree part of 0 is undefined")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                out *= p
-        p += 1 if p == 2 else 2
-    return sign * out * n
 
 
 def _rational_square_class(r: Fraction) -> int:

@@ -11,55 +11,7 @@ import argparse
 import json
 import sys
 
-from . import jsonio
-from .classify import (
-    central_quotients,
-    classify_six_dim,
-    commensurable,
-    filiform_isomorphic,
-    filiform_normalize,
-    theta_invariant,
-    trid_invariants,
-    trid_invariants_from_model,
-)
-from .cocycles import cocycle_space
 from .errors import InputError, NillatError, PreconditionError
-from .groups import (
-    check_relations,
-    example5_exp,
-    example5_log,
-    example5_model,
-    inverse,
-    multiply,
-)
-from .heisenberg import (
-    h1_cocycle_construct,
-    h1_symplectic_decision,
-    hk_degeneracy_check,
-)
-from .liealg import central_series, validate_lie
-from .anosov import (
-    char_poly_pair,
-    eigenvalue_moduli_report,
-    filiform_aut_constraints,
-    gamma111_automorphism,
-    has_unit_circle_root,
-    is_anosov,
-    phi_automorphism,
-)
-from .quadratic import element as ring_element
-from .quadratic import format_element, ring_of_integers, unit_group
-from .symplectic import (
-    cybe_check,
-    double_theta_check,
-    example5_gamma_prime,
-    flat_symplectic_structure,
-    curvature_vanishes,
-    moment_map,
-    moment_cocycle_identity_holds,
-    orthogonal_subalgebra,
-    rational_structure_for_double,
-)
 
 ANSWER_FALSE = 1
 EXIT_INPUT = 2
@@ -92,10 +44,14 @@ def _parse_semicolon_matrix(text: str) -> list[list[int]]:
 
 
 def _dump_basis(basis) -> list:
+    from . import jsonio
+
     return [jsonio.dump_vector(v) for v in basis]
 
 
 def _dump_poly(p) -> list:
+    from . import jsonio
+
     return [[jsonio.dump_rational(c), list(e)] for e, c in sorted(p.terms.items())]
 
 
@@ -103,6 +59,9 @@ def _dump_poly(p) -> list:
 
 
 def cmd_validate_lie(args) -> int:
+    from . import jsonio
+    from .liealg import validate_lie
+
     L = jsonio.parse_lie_algebra(_load_doc(args))
     rep = validate_lie(L)
     _emit({
@@ -116,6 +75,9 @@ def cmd_validate_lie(args) -> int:
 
 
 def cmd_central_series(args) -> int:
+    from . import jsonio
+    from .liealg import central_series
+
     L = jsonio.parse_lie_algebra(_load_doc(args))
     rep = central_series(L)
     _emit({
@@ -128,6 +90,9 @@ def cmd_central_series(args) -> int:
 
 
 def cmd_cocycles(args) -> int:
+    from . import jsonio
+    from .cocycles import cocycle_space
+
     L = jsonio.parse_lie_algebra(_load_doc(args))
     z2, b2 = cocycle_space(L)
     _emit({
@@ -140,6 +105,9 @@ def cmd_cocycles(args) -> int:
 
 
 def cmd_classify6(args) -> int:
+    from . import jsonio
+    from .classify import classify_six_dim
+
     doc = _load_doc(args)
     L = jsonio.parse_lie_algebra(doc["algebra"] if "algebra" in doc else doc)
     comp = doc.get("complement") if isinstance(doc, dict) else None
@@ -156,6 +124,9 @@ def cmd_classify6(args) -> int:
 
 
 def cmd_commensurable(args) -> int:
+    from . import jsonio
+    from .classify import classify_six_dim, commensurable
+
     doc = _load_doc(args)
     ca = classify_six_dim(jsonio.parse_lie_algebra(doc["a"]))
     cb = classify_six_dim(jsonio.parse_lie_algebra(doc["b"]))
@@ -169,11 +140,17 @@ def cmd_commensurable(args) -> int:
 
 
 def cmd_trid_invariants(args) -> int:
+    from . import jsonio
+
     doc = _load_doc(args)
     if "model" in doc:
+        from .classify import trid_invariants_from_model
+
         model = jsonio.parse_group_model(doc["model"])
         inv = trid_invariants_from_model(model)
     else:
+        from .classify import trid_invariants
+
         inv = trid_invariants(
             jsonio.parse_int_matrix(doc["center"]), jsonio.parse_int_matrix(doc["derived"])
         )
@@ -182,21 +159,31 @@ def cmd_trid_invariants(args) -> int:
 
 
 def cmd_filiform(args) -> int:
+    from . import jsonio
+
     doc = _load_doc(args) if args.action not in ("isom",) else None
     if args.action == "normalize":
+        from .classify import filiform_normalize
+
         spec = jsonio.parse_filiform_spec(doc)
         norm, witness = filiform_normalize(spec)
         _emit({"spec": jsonio.dump_filiform_spec(norm), "witness": witness})
         return 0
     if args.action == "theta":
+        from .classify import theta_invariant
+
         spec = jsonio.parse_filiform_spec(doc)
         _emit({"theta": list(theta_invariant(spec))})
         return 0
     if args.action == "quotients":
+        from .classify import central_quotients
+
         spec = jsonio.parse_filiform_spec(doc)
         _emit({"quotients": central_quotients(spec)})
         return 0
     if args.action == "isom":
+        from .classify import filiform_isomorphic
+
         if not (args.a and args.b):
             raise InputError("isom needs --a and --b")
         s1 = jsonio.parse_filiform_spec(json.loads(args.a))
@@ -205,6 +192,8 @@ def cmd_filiform(args) -> int:
         _emit({"isomorphic": ans, "witness": witness})
         return 0 if ans else ANSWER_FALSE
     if args.action == "aut":
+        from .anosov import filiform_aut_constraints
+
         n = jsonio.parse_int(doc["n"], "n")
         y_images = [[(g, jsonio.parse_int(e, "exponent")) for g, e in w] for w in doc["y_images"]]
         z_image = [(g, jsonio.parse_int(e, "exponent")) for g, e in doc["z_image"]]
@@ -215,6 +204,9 @@ def cmd_filiform(args) -> int:
 
 
 def cmd_multiply(args) -> int:
+    from . import jsonio
+    from .groups import inverse, multiply
+
     doc = _load_doc(args)
     model = jsonio.parse_group_model(doc["model"])
     a = jsonio.parse_group_element(model, doc["a"])
@@ -227,6 +219,9 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    from . import jsonio
+    from .groups import check_relations
+
     doc = _load_doc(args)
     model = jsonio.parse_group_model(doc["model"])
     pres = jsonio.parse_presentation(doc["presentation"])
@@ -239,8 +234,12 @@ def cmd_relations(args) -> int:
 
 
 def cmd_symplectic(args) -> int:
+    from . import jsonio
+
     doc = _load_doc(args)
     if args.action == "decide":
+        from .heisenberg import h1_symplectic_decision
+
         A = jsonio.parse_comm_algebra(doc)
         d = h1_symplectic_decision(A)
         _emit({
@@ -252,11 +251,15 @@ def cmd_symplectic(args) -> int:
         })
         return 0
     if args.action == "construct":
+        from .heisenberg import h1_cocycle_construct
+
         A = jsonio.parse_comm_algebra(doc)
         form = h1_cocycle_construct(A)
         _emit({"dim": form.algebra.dim, "matrix": jsonio.dump_matrix(form.matrix)})
         return 0
     if args.action == "hk-check":
+        from .heisenberg import hk_degeneracy_check
+
         A = jsonio.parse_comm_algebra(doc["algebra"])
         cert = hk_degeneracy_check(A, jsonio.parse_int(doc["k"], "k"))
         _emit({
@@ -269,6 +272,9 @@ def cmd_symplectic(args) -> int:
 
 
 def cmd_moment_map(args) -> int:
+    from . import jsonio
+    from .symplectic import moment_cocycle_identity_holds, moment_map
+
     doc = _load_doc(args)
     L = jsonio.parse_lie_algebra(doc["algebra"])
     form = jsonio.parse_alternating_form(L, doc["form"])
@@ -281,6 +287,9 @@ def cmd_moment_map(args) -> int:
 
 
 def cmd_theorem6(args) -> int:
+    from . import jsonio
+    from .symplectic import curvature_vanishes, flat_symplectic_structure
+
     doc = _load_doc(args)
     L = jsonio.parse_lie_algebra(doc["algebra"])
     form = jsonio.parse_alternating_form(L, doc["form"])
@@ -295,6 +304,9 @@ def cmd_theorem6(args) -> int:
 
 
 def cmd_orthogonal(args) -> int:
+    from . import jsonio
+    from .symplectic import orthogonal_subalgebra
+
     doc = _load_doc(args)
     L = jsonio.parse_lie_algebra(doc["algebra"])
     form = jsonio.parse_alternating_form(L, doc["form"])
@@ -304,16 +316,24 @@ def cmd_orthogonal(args) -> int:
 
 
 def cmd_example5(args) -> int:
+    from . import jsonio
+
     doc = _load_doc(args)
     if "exp" in doc:
+        from .groups import example5_exp
+
         el = example5_exp([jsonio.parse_rational(x) for x in doc["exp"]])
         _emit({"element": jsonio.dump_group_element(el)})
         return 0
     if "log" in doc:
+        from .groups import example5_log, example5_model
+
         model = example5_model()
         el = jsonio.parse_group_element(model, {"coords": doc["log"]})
         _emit({"coordinates": jsonio.dump_vector(example5_log(el))})
         return 0
+    from .symplectic import example5_gamma_prime
+
     rows = [[jsonio.parse_rational(x) for x in row] for row in doc["rows"]]
     rep = example5_gamma_prime(rows)
     _emit({
@@ -326,6 +346,9 @@ def cmd_example5(args) -> int:
 
 
 def cmd_cybe(args) -> int:
+    from . import jsonio
+    from .symplectic import cybe_check
+
     doc = _load_doc(args)
     L = jsonio.parse_lie_algebra(doc["algebra"])
     r = jsonio.parse_matrix(doc["r"])
@@ -334,6 +357,9 @@ def cmd_cybe(args) -> int:
 
 
 def cmd_double_theta(args) -> int:
+    from . import jsonio
+    from .symplectic import double_theta_check, rational_structure_for_double
+
     doc = _load_doc(args)
     L = jsonio.parse_lie_algebra(doc["algebra"])
     r = jsonio.parse_matrix(doc["r"])
@@ -353,6 +379,8 @@ def cmd_double_theta(args) -> int:
 
 
 def cmd_units(args) -> int:
+    from .quadratic import format_element, unit_group
+
     m = args.m
     desc = unit_group(m)
     out = {"m": m, "torsion": desc.torsion}
@@ -364,6 +392,8 @@ def cmd_units(args) -> int:
 
 
 def cmd_anosov(args) -> int:
+    from .anosov import char_poly_pair, is_anosov
+
     mat = _matrix_arg(args)
     p_b, _ = char_poly_pair(mat)
     ans = is_anosov(mat)
@@ -372,6 +402,8 @@ def cmd_anosov(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
+    from .anosov import char_poly_pair, has_unit_circle_root
+
     mat = _matrix_arg(args)
     p_b, q_a = char_poly_pair(mat)
     _emit({
@@ -383,6 +415,11 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_phi_aut(args) -> int:
+    from . import jsonio
+    from .anosov import eigenvalue_moduli_report, phi_automorphism
+    from .quadratic import element as ring_element
+    from .quadratic import format_element, ring_of_integers
+
     doc = _load_doc(args)
     ring = ring_of_integers(jsonio.parse_int(doc["m"], "m"))
     alpha = ring_element(ring, *[jsonio.parse_int(x, "alpha") for x in doc["alpha"]])
@@ -402,6 +439,9 @@ def cmd_phi_aut(args) -> int:
 
 
 def cmd_gamma111_aut(args) -> int:
+    from . import jsonio
+    from .anosov import gamma111_automorphism
+
     doc = _load_doc(args)
     central = doc.get("central")
     aut = gamma111_automorphism(
@@ -415,6 +455,8 @@ def cmd_gamma111_aut(args) -> int:
 def _matrix_arg(args) -> list[list[int]]:
     if getattr(args, "matrix", None):
         return _parse_semicolon_matrix(args.matrix)
+    from . import jsonio
+
     doc = _load_doc(args)
     if isinstance(doc, dict):
         doc = doc.get("matrix", doc)

@@ -90,7 +90,7 @@ class HeisQuad(GroupModel):
     central_slots = (4, 5)
 
     def __init__(self, d: int):
-        from .classify import squarefree_part
+        from .quadratic import squarefree_part
 
         if d == 0:
             raise InputError("parameter d must be nonzero")

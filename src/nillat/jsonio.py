@@ -18,22 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
-from .classify import FiliformLatticeSpec
-from .commalg import CommAlgebra
 from .errors import InputError
-from .groups import (
-    Example5G,
-    Filiform,
-    GroupElement,
-    GroupModel,
-    HeisQuad,
-    HeisenbergDual,
-    Presentation,
-    TStarH1,
-    TriD,
-    element,
-)
-from .liealg import LieAlgebra
 from .matrix import Matrix, parse_int
 
 
@@ -55,6 +40,8 @@ def dump_rational(q: Fraction):
 
 
 def parse_lie_algebra(doc: Any) -> LieAlgebra:
+    from .liealg import LieAlgebra
+
     try:
         dim = parse_int(doc["dim"], "dim")
         brackets = {}
@@ -76,6 +63,8 @@ def dump_lie_algebra(L: LieAlgebra) -> dict:
 
 
 def parse_comm_algebra(doc: Any) -> CommAlgebra:
+    from .commalg import CommAlgebra
+
     try:
         dim = parse_int(doc["dim"], "dim")
         unit = [parse_rational(c) for c in doc["unit"]]
@@ -104,6 +93,8 @@ def dump_vector(v) -> list:
 
 
 def parse_group_model(doc: Any) -> GroupModel:
+    from .groups import Example5G, Filiform, HeisenbergDual, HeisQuad, TriD, TStarH1
+
     try:
         kind = doc["kind"]
         params = doc.get("params", {})
@@ -131,6 +122,8 @@ def dump_group_model(model: GroupModel) -> dict:
 
 
 def parse_group_element(model: GroupModel, doc: Any) -> GroupElement:
+    from .groups import element
+
     try:
         coords = [parse_rational(c) for c in doc["coords"]]
     except (KeyError, TypeError) as exc:
@@ -143,6 +136,8 @@ def dump_group_element(el: GroupElement) -> dict:
 
 
 def parse_presentation(doc: Any) -> Presentation:
+    from .groups import Presentation
+
     try:
         gens = [str(g) for g in doc["gens"]]
         rels = []
@@ -156,6 +151,8 @@ def parse_presentation(doc: Any) -> Presentation:
 
 
 def parse_filiform_spec(doc: Any) -> FiliformLatticeSpec:
+    from .classify import FiliformLatticeSpec
+
     try:
         return FiliformLatticeSpec(parse_int(doc["n"], "n"), doc["g"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -20,9 +20,27 @@ SQRT = "SQRT"
 HALF = "HALF"
 
 
-def _is_squarefree(m: int) -> bool:
-    from .classify import squarefree_part
+def squarefree_part(n: int) -> int:
+    """Squarefree integer of the same sign with n / result a perfect square."""
+    if n == 0:
+        raise InputError("squarefree part of 0 is undefined")
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e % 2:
+                out *= p
+        p += 1 if p == 2 else 2
+    return sign * out * n
 
+
+def _is_squarefree(m: int) -> bool:
     return m != 0 and squarefree_part(m) == m
 
 

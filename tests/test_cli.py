@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -366,3 +370,59 @@ def test_emitted_spec_reparses(capsys):
     assert code == 0
     spec = jsonio.parse_filiform_spec(doc["spec"])
     assert spec.g[1][0] == 6 and spec.g[2][1] == 9
+
+
+# Which nillat modules one fresh interpreter holds after importing the package,
+# importing the CLI, or running one subcommand in process.  A module-level
+# import added to the package, the CLI, jsonio or anosov shows up here.
+# Every subcommand below answers (exit 0 or 1), so it ran to the end.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+argv, code = json.loads(sys.argv[1]), 0
+if argv is None:
+    import nillat
+else:
+    import nillat.cli
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = nillat.cli.main(argv)
+print(json.dumps([code, sorted(m[len("nillat."):] for m in sys.modules if m.startswith("nillat."))]))
+"""
+
+_LOCAL_DIM3 = {"dim": 3, "unit": [1, 0, 0], "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]],
+                                                        [1, 3, [[3, 1]]], [2, 2, [[3, 1]]]]}
+_SIX = {"dim": 6, "brackets": [[1, 2, [[5, 1]]], [1, 3, [[6, 1]]], [2, 4, [[6, 1]]], [3, 4, [[5, -2]]]]}
+_ANOSOV = {"anosov", "intlattice", "matrix", "unipoly"}
+
+
+def _product_doc(model) -> str:
+    return json.dumps({"model": model, "a": {"coords": [1, 2, 3, 4, 5, 6]}, "b": {"coords": [0] * 6}})
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (None, set()),
+    ([], {"cli", "errors"}),
+    (["units", "-m", "7"], {"cli", "errors", "quadratic"}),
+    (["anosov", "--matrix", "1,5,2;2,-1,-1;3,2,0"], {"cli", "errors"} | _ANOSOV),
+    (["charpoly", "--matrix", "1,5,2;2,-1,-1;3,2,0"], {"cli", "errors"} | _ANOSOV),
+    (["symplectic", "decide", "--json", json.dumps(_LOCAL_DIM3)],
+     {"cli", "errors", "jsonio", "matrix", "commalg", "heisenberg", "cocycles", "liealg"}),
+    (["filiform", "isom", "--a", '{"n":3,"g":[[1,0,0],[6,1,0],[1,9,1]]}',
+      "--b", '{"n":3,"g":[[1,0,0],[6,1,0],[2,9,1]]}'],
+     {"cli", "errors", "jsonio", "matrix", "classify", "intlattice", "liealg", "quadratic"}),
+    (["classify6", "--json", json.dumps({"algebra": _SIX})],
+     {"cli", "errors", "jsonio", "matrix", "classify", "intlattice", "liealg", "quadratic"}),
+    (["multiply", "--json", _product_doc({"kind": "TriD", "params": {"d": [1, 1, 1]}})],
+     {"cli", "errors", "jsonio", "matrix", "groups", "intlattice"}),
+    (["multiply", "--json", _product_doc({"kind": "HeisQuad", "params": {"d": 2}})],
+     {"cli", "errors", "jsonio", "matrix", "groups", "intlattice", "quadratic"}),
+], ids=["import nillat", "import nillat.cli", "units", "anosov", "charpoly", "symplectic decide",
+        "filiform isom", "classify6", "multiply TriD", "multiply HeisQuad"])
+def test_subcommand_imports_only_its_modules(argv, expected):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code in (0, 1)
+    assert set(modules) == expected

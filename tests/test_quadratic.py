@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import fundamental_unit_box_search
-from nillat.classify import squarefree_part
+from nillat.quadratic import squarefree_part
 from nillat.errors import InputError
 from nillat.quadratic import (
     HALF,

@@ -2,6 +2,7 @@
 
     python3 tools/ladder.py [CHECKOUT]
     python3 tools/ladder.py PARENT CHANGE > BENCH_commalg.json
+    python3 tools/ladder.py --spawn PARENT CHANGE > BENCH_cli_import.json
 
 With one checkout (default: the checkout this script sits in), imports
 `nillat` from CHECKOUT/src and prints one JSON document.  Each rung times
@@ -29,8 +30,22 @@ every rung computed the same thing, and prints one merged document per
 rung: `parent_min_ms` and `change_min_ms`, the minimum over all rounds;
 `parent_spread` and `change_spread`, (max - min) / min of the three
 per-round minima, which shows how far the host's speed moved between
-processes; and the speedup parent min / change min.  Standard library only; nothing is
-written to disk.
+processes; and the speedup parent min / change min.
+
+With `--spawn` and two checkouts, times CLI start-up instead: one rung per
+`python -m nillat.cli <argv>` request kind of the benchmark's cli workload
+(anosov, charpoly, units, symplectic decide, classify6, multiply,
+filiform isom) plus `python -c pass`.  Parent and change spawn
+alternately inside one timing loop, so a change of the host's speed hits
+both sides alike, and each rung checks that both sides printed the same
+stdout and exit code.  Each rung reports the min and median ms per side
+in two columns: `host_env`, the environment as inherited, and `bytecode`,
+with bytecode caching on (PYTHONDONTWRITEBYTECODE unset and
+PYTHONPYCACHEPREFIX a temporary directory, warmed by one untimed spawn per
+side, so nothing is written into either checkout).
+
+Standard library only; nothing is written to disk except the temporary
+bytecode cache, which is removed.
 """
 
 from __future__ import annotations
@@ -39,13 +54,16 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 REPEATS = 5
 ROUNDS = 3
+SPAWN_REPEATS = 21
 WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, and H_2(Q[x]/x^j), "
         "j=2..6; hk_degeneracy_check(Q[x]/x^j, 2), j=2..6; Matrix.kernel_basis on the stacked Z^2 rows "
         "of H_1(Q[x]/x^j), j=2..8; and of the socle computation: radical_and_socle(Q[x]/x^j) and the "
@@ -163,19 +181,106 @@ def _merged(parent: Path, change: Path) -> dict:
     }
 
 
+SPAWN_WHAT = ("CLI start-up: wall ms of one `python -m nillat.cli <argv>` subprocess per request kind of the "
+              "cli workload, and of `python -c pass`; parent and change spawn alternately in one timing "
+              "loop, %d spawns per side, min and median; column host_env inherits the environment, column "
+              "bytecode turns bytecode caching on into a temporary PYTHONPYCACHEPREFIX" % SPAWN_REPEATS)
+
+_LOCAL_DIM4 = {"dim": 4, "unit": [1, 0, 0, 0], "products": [
+    [1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [1, 3, [[3, 1]]], [1, 4, [[4, 1]]], [2, 2, [[3, 1]]], [2, 3, [[4, 1]]]]}
+_SIX_D2 = {"dim": 6, "brackets": [[1, 3, [[5, 1]]], [1, 4, [[6, 1]]], [2, 3, [[6, 1]]], [2, 4, [[5, 2]]]]}
+SPAWN_RUNGS = [
+    ("pass", ["-c", "pass"]),
+    ("anosov", ["-m", "nillat.cli", "anosov", "--matrix=1,5,2;2,-1,-1;3,2,0"]),
+    ("charpoly", ["-m", "nillat.cli", "charpoly", "--matrix=1,1,0;1,2,1;0,1,2"]),
+    ("units", ["-m", "nillat.cli", "units", "-m", "94"]),
+    ("symplectic decide", ["-m", "nillat.cli", "symplectic", "decide", "--json", json.dumps(_LOCAL_DIM4)]),
+    ("classify6", ["-m", "nillat.cli", "classify6", "--json", json.dumps(_SIX_D2)]),
+    ("multiply", ["-m", "nillat.cli", "multiply", "--json", json.dumps({
+        "model": {"kind": "HeisQuad", "params": {"d": 5}},
+        "a": {"coords": [1, -2, 3, 0, 4, 1]}, "b": {"coords": [2, 5, -1, 3, 0, -4]}})]),
+    ("filiform isom", ["-m", "nillat.cli", "filiform", "isom", "--a", '{"n":3,"g":[[1,0,0],[6,1,0],[1,9,1]]}',
+                       "--b", '{"n":3,"g":[[1,0,0],[6,1,0],[2,9,1]]}']),
+]
+
+
+def _spawn(checkout: Path, argv: list[str], env: dict) -> tuple[float, tuple]:
+    env = dict(env, PYTHONPATH=str(checkout / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=120)
+    ms = 1000 * (time.perf_counter() - t0)
+    return ms, (proc.returncode, proc.stdout, proc.stderr)
+
+
+def _spawn_column(parent: Path, change: Path, env: dict, warm: bool) -> list[dict]:
+    rows = []
+    for name, argv in SPAWN_RUNGS:
+        if warm:
+            for checkout in (parent, change):
+                _spawn(checkout, argv, env)
+        samples: dict[Path, list[float]] = {parent: [], change: []}
+        results = set()
+        for r in range(SPAWN_REPEATS):
+            for checkout in (parent, change) if r % 2 == 0 else (change, parent):
+                ms, result = _spawn(checkout, argv, env)
+                samples[checkout].append(ms)
+                results.add(result)
+        if len(results) != 1:
+            raise SystemExit(f"spawn rung {name!r} answered differently: {sorted(results)}")
+        (code, _, stderr), = results
+        if stderr:
+            raise SystemExit(f"spawn rung {name!r} wrote to stderr: {stderr}")
+        pm, cm = (statistics.median(samples[side]) for side in (parent, change))
+        rows.append({"rung": name, "argv": argv, "exit": code,
+                     "parent_min_ms": round(min(samples[parent]), 2), "parent_median_ms": round(pm, 2),
+                     "change_min_ms": round(min(samples[change]), 2), "change_median_ms": round(cm, 2),
+                     "median_speedup": round(pm / cm, 2)})
+    return rows
+
+
+def _spawn_merged(parent: Path, change: Path) -> dict:
+    host_env = dict(os.environ)
+    bytecode = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory(prefix="nillat-pycache-") as prefix:
+        bytecode["PYTHONPYCACHEPREFIX"] = prefix
+        columns = {"host_env": _spawn_column(parent, change, host_env, warm=False),
+                   "bytecode": _spawn_column(parent, change, bytecode, warm=True)}
+    rungs = [{"rung": row["rung"], "argv": row["argv"], "exit": row["exit"],
+              **{col: {k: v for k, v in rows[i].items() if k not in ("rung", "argv", "exit")}
+                 for col, rows in columns.items()}}
+             for i, row in enumerate(columns["host_env"])]
+    return {
+        "what": SPAWN_WHAT,
+        "command": "python3 tools/ladder.py --spawn PARENT CHANGE",
+        "parent": _revision(parent),
+        "change": _revision(change),
+        "host": {"python": platform.python_version(), "nproc": os.cpu_count(), "cpu_model": _cpu_model(),
+                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
+        "repeats": SPAWN_REPEATS,
+        "rungs": rungs,
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="*", default=[str(Path(__file__).resolve().parents[1])],
                     help="one checkout, or PARENT CHANGE for a merged comparison")
+    ap.add_argument("--spawn", action="store_true", help="time CLI start-up of PARENT CHANGE instead")
     args = ap.parse_args()
     paths = [Path(c).resolve() for c in args.checkouts]
     if len(paths) > 2:
         ap.error("give one checkout or two")
+    if args.spawn and len(paths) != 2:
+        ap.error("--spawn needs PARENT CHANGE")
     for path in paths:
         if not (path / "src" / "nillat").is_dir():
             print(f"no src/nillat under {path}", file=sys.stderr)
             return 1
-    doc = _one(paths[0]) if len(paths) == 1 else _merged(*paths)
+    if args.spawn:
+        doc = _spawn_merged(*paths)
+    else:
+        doc = _one(paths[0]) if len(paths) == 1 else _merged(*paths)
     print(json.dumps(doc, indent=1))
     return 0
 

@@ -17,8 +17,10 @@ library answers on a fixed, seeded corpus:
   the derived algebra of the stock Lie algebras and of H_1(A) for the
   stock A, and `classify_six_dim` on the six-dimensional normal forms and
   on 12 seeded integer changes of basis of them;
-- the `nillat symplectic decide|construct|hk-check` documents and exit
-  codes (run in-process through `cli.main`);
+- the stdout document and exit code of every CLI entry point (15 simple
+  commands, 5 `filiform` and 3 `symplectic` actions, `moment-map`,
+  `units`, `anosov`, `charpoly`) on answered inputs and on malformed
+  inputs that exit 2 and 3, run in-process through `cli.main`;
 - the `StructuralError` messages for broken unit and associativity inputs.
 
 With two checkouts, runs each in its own process and exits 0 if the two
@@ -149,28 +151,153 @@ def _lie_section() -> list[dict]:
     return out
 
 
+H3 = {"dim": 3, "brackets": [[1, 2, [[3, 1]]]]}
+NOT_LIE = {"dim": 3, "brackets": [[1, 2, [[3, 1]]], [2, 3, [[1, 1]]], [1, 3, [[1, -1]]]]}
+F4 = {"dim": 4, "brackets": [[1, 2, [[3, 1]]], [1, 3, [[4, 1]]]]}
+W4 = [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
+TRID111 = {"kind": "TriD", "params": {"d": [1, 1, 1]}}
+DEAD_FILIFORM = {"kind": "Filiform", "params": {"n": 3, "g": [[1, 0, 0], [0, 1, 0], [1, 9, 1]]}}
+LOCAL3 = {"dim": 3, "unit": [1, 0, 0],
+          "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [1, 3, [[3, 1]]], [2, 2, [[3, 1]]]]}
+NOT_ASSOCIATIVE = {"dim": 3, "unit": [1, 0, 0],
+                   "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [1, 3, [[3, 1]]], [2, 3, [[2, 1]]]]}
+SPEC = {"n": 3, "g": [[1, 0, 0], [6, 1, 0], [14, 9, 1]]}
+DEAD_SPEC = {"n": 3, "g": [[1, 0, 0], [0, 1, 0], [1, 9, 1]]}
+NOT_UNITRIANGULAR = {"n": 3, "g": [[2, 0, 0], [6, 1, 0], [1, 9, 1]]}
+AUT_OK = {"n": 3, "y_images": [[["y1", 1]], [["y2", 1]], [["y3", 1]]], "z_image": [["z", 1]]}
+AUT_SIGNS = {"n": 3, "y_images": [[["y1", 1]], [["y2", -1]], [["y3", 1]]], "z_image": [["z", 1]]}
+SYMPLECTIC_DOCS = [
+    {"dim": 1, "unit": [1], "products": [[1, 1, [[1, 1]]]]},
+    {"dim": 2, "unit": [1, 0], "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]]]},
+    {"dim": 2, "unit": [1, 1], "products": [[1, 1, [[1, 1]]], [2, 2, [[2, 1]]]]},
+    {"dim": 4, "unit": [1, 0, 0, 0],
+     "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [1, 3, [[3, 1]]], [1, 4, [[4, 1]]], [2, 2, [[3, 1]]]]},
+    {"dim": 4, "unit": [1, 0, 0, 0],
+     "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [1, 3, [[3, 1]]], [1, 4, [[4, 1]]]]},
+    {"dim": 2, "unit": [1, 0], "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 2]]]]},
+    {"dim": 2, "unit": [1, 0], "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [2, 2, [[1, 1]]]]},
+    NOT_ASSOCIATIVE,
+]
+
+
+def _j(command, doc) -> list[str]:
+    return [*command.split(), "--json", json.dumps(doc)]
+
+
+def cli_requests() -> list[list[str]]:
+    """argv lists for all 27 entry points: answers, and malformed input for exit 2 and exit 3.
+
+    validate-lie, example5, cybe, units and filiform aut have no
+    precondition (exit 3) path, so they get answers and exit 2 only.
+    """
+    from nillat.liealg import six_dim_quadratic_structure
+    from nillat import jsonio
+
+    six = {d: jsonio.dump_lie_algebra(six_dim_quadratic_structure(d)) for d in (-1, 2, 3)}
+    reqs = [
+        _j("validate-lie", H3), _j("validate-lie", NOT_LIE),
+        _j("validate-lie", {"dim": 2, "brackets": [[1, 1, [[2, 1]]]]}),
+        ["validate-lie", "--json", "{nope"],
+        _j("central-series", H3), _j("central-series", F4), _j("central-series", {"dim": 0, "brackets": []}),
+        _j("central-series", NOT_LIE),
+        _j("cocycles", H3), _j("cocycles", F4), _j("cocycles", {"dim": 3.5, "brackets": []}), _j("cocycles", NOT_LIE),
+        _j("classify6", six[2]), _j("classify6", {"algebra": six[-1], "complement": [[1, 0, 0, 0, 0, 0]] * 4}),
+        _j("classify6", {"dim": 6, "brackets": [[1, 7, [[2, 1]]]]}), _j("classify6", H3),
+        _j("commensurable", {"a": six[2], "b": six[3]}), _j("commensurable", {"a": six[2], "b": six[2]}),
+        _j("commensurable", {"a": six[2]}), _j("commensurable", {"a": six[2], "b": H3}),
+        _j("trid-invariants", {"model": {"kind": "TriD", "params": {"d": [2, 2, 6]}}}),
+        _j("trid-invariants", {"center": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "derived": [[6, 1, 0], [0, 9, 0], [0, 0, 1]]}),
+        _j("trid-invariants", {"model": {"kind": "HeisenbergDual"}}), _j("trid-invariants", {"model": DEAD_FILIFORM}),
+        _j("multiply", {"model": {"kind": "TriD", "params": {"d": [2, 2, 6]}},
+                        "a": {"coords": [0, 0, 0, 0, 1, 0]}, "b": {"coords": [0, 0, 0, 0, 0, 1]}}),
+        _j("multiply", {"model": {"kind": "HeisQuad", "params": {"d": 5}}, "a": {"coords": [1, 2, 3, 4, 5, 6]},
+                        "b": {"coords": [-1, 0, "1/2", 2, 0, 1]}, "inverse": True}),
+        _j("multiply", {"model": {"kind": "Filiform", "params": SPEC}, "a": {"coords": [1, 2, 3, 4]},
+                        "b": {"coords": [0, -1, 2, 1]}}),
+        _j("multiply", {"model": {"kind": "HeisQuad", "params": {"d": 4}}, "a": {"coords": [0] * 6},
+                        "b": {"coords": [0] * 6}}),
+        _j("multiply", {"model": DEAD_FILIFORM, "a": {"coords": [0] * 4}, "b": {"coords": [0] * 4}}),
+        _j("relations", {"model": TRID111,
+                         "assignment": {"y1": {"coords": [0, 0, 0, 1, 0, 0]}, "y2": {"coords": [0, 0, 0, 0, 1, 0]},
+                                        "y3": {"coords": [0, 0, 0, 0, 0, 1]}, "z1": {"coords": [1, 0, 0, 0, 0, 0]}},
+                         "presentation": {"gens": ["y1", "y2", "y3", "z1"], "relations": [
+                             {"lhs": [["y2", 1], ["y3", 1]], "rhs": [["y3", 1], ["y2", 1], ["z1", 1]]},
+                             {"lhs": [["y1", 1], ["y2", 1]], "rhs": [["y2", 1], ["y1", 1]]}]}}),
+        _j("relations", {"model": TRID111, "assignment": {},
+                         "presentation": {"gens": ["y1"], "relations": [{"lhs": [["y1", 1]], "rhs": []}]}}),
+        _j("relations", {"model": DEAD_FILIFORM, "assignment": {}, "presentation": {"gens": [], "relations": []}}),
+        _j("theorem6", {"algebra": F4, "form": W4, "ideal": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                        "e": [1, 0, 0, 0]}),
+        _j("theorem6", {"algebra": F4, "form": [[0, 1], [-1, 0]], "ideal": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                        "e": [1, 0, 0, 0]}),
+        _j("theorem6", {"algebra": F4, "form": W4, "ideal": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                        "e": [0, 1, 0, 0]}),
+        _j("orthogonal", {"algebra": F4, "form": W4, "subspace": [[0, 0, 0, 1]]}),
+        _j("orthogonal", {"algebra": F4, "form": W4, "subspace": [[0, 1, 0, 0], [0, 0, 1, 0]]}),
+        _j("orthogonal", {"algebra": F4, "form": W4, "subspace": [[0, 0, 0, 1, 0]]}),
+        _j("orthogonal", {"algebra": F4, "form": [[0] * 4] * 4, "subspace": [[0, 0, 0, 1]]}),
+        _j("example5", {"rows": [[1], [1], [1]]}), _j("example5", {"rows": [[1, 0], [0, 1], [1, 1]]}),
+        _j("example5", {"exp": [1, 1, 1, 0, 0, 0]}), _j("example5", {"log": [1, 1, 1, "1/2", "1/2", "1/2"]}),
+        _j("example5", {"rows": [[1], [1]]}), _j("example5", {"log": [1, 1]}),
+        _j("cybe", {"algebra": F4, "r": W4}), _j("cybe", {"algebra": NOT_LIE, "r": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}),
+        _j("cybe", {"algebra": F4, "r": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}),
+        _j("double-theta", {"algebra": F4, "r": W4}),
+        _j("double-theta", {"algebra": F4, "r": W4, "lattice_log": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                                                      [0, 0, 0, 1]]}),
+        _j("double-theta", {"algebra": F4, "r": [[0, 1], [-1, 0]]}),
+        _j("double-theta", {"algebra": F4, "r": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}),
+        _j("gamma111-aut", {"matrix": [[1, 5, 2], [2, -1, -1], [3, 2, 0]]}),
+        _j("gamma111-aut", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "central": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]}),
+        _j("gamma111-aut", {"matrix": [[1, 0], [0, 1]]}), _j("gamma111-aut", {"matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        _j("phi-aut", {"m": 2, "alpha": [1, 1], "beta": [1, 1]}), _j("phi-aut", {"m": 5, "alpha": [0, 1], "beta": [1, -1]}),
+        _j("phi-aut", {"m": -1, "alpha": [0, 1], "beta": [1, 0]}),
+        _j("phi-aut", {"m": 4, "alpha": [1, 1], "beta": [1, 1]}), _j("phi-aut", {"m": 2, "alpha": [2, 0], "beta": [1, 1]}),
+        _j("filiform normalize", SPEC), _j("filiform normalize", {"n": 4, "g": [[1, 0, 0, 0], [-4, 1, 0, 0],
+                                                                              [3, 8, 1, 0], [5, -7, 2, 1]]}),
+        _j("filiform normalize", NOT_UNITRIANGULAR), _j("filiform normalize", DEAD_SPEC),
+        _j("filiform theta", SPEC), _j("filiform theta", {"n": "3", "g": SPEC["g"]}), _j("filiform theta", DEAD_SPEC),
+        _j("filiform quotients", SPEC), _j("filiform quotients", {"n": 2, "g": [[1, 0], [6, 1]]}),
+        _j("filiform quotients", {"g": SPEC["g"]}), _j("filiform quotients", DEAD_SPEC),
+        ["filiform", "isom", "--a", json.dumps({"n": 3, "g": [[1, 0, 0], [6, 1, 0], [1, 9, 1]]}),
+         "--b", json.dumps({"n": 3, "g": [[1, 0, 0], [6, 1, 0], [2, 9, 1]]})],
+        ["filiform", "isom", "--a", json.dumps(SPEC), "--b", json.dumps({"n": 3, "g": [[1, 0, 0], [6, 1, 0], [2, 9, 1]]})],
+        ["filiform", "isom", "--a", json.dumps(SPEC)],
+        ["filiform", "isom", "--a", json.dumps(DEAD_SPEC), "--b", json.dumps(SPEC)],
+        _j("filiform aut", AUT_OK), _j("filiform aut", AUT_SIGNS),
+        _j("filiform aut", {"n": 3, "y_images": [[["y1", 1]]], "z_image": [["z", 1]]}),
+        _j("filiform aut", {"n": 3, "y_images": [[["y1", 1]], [["y2", 1]], [["w", 1]]], "z_image": [["z", 1]]}),
+        _j("moment-map", {"algebra": F4, "form": W4}), _j("moment-map", {"algebra": F4, "form": W4, "verify_identity": True}),
+        ["moment-map", "--verify", "--json", json.dumps({"algebra": F4, "form": W4})],
+        _j("moment-map", {"algebra": F4, "form": [[0, 1], [-1, 0]]}),
+        _j("moment-map", {"algebra": F4, "form": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}),
+        ["units", "-m", "2"], ["units", "-m", "5"], ["units", "-m", "-3"], ["units", "-m", "-1"], ["units", "-m", "94"],
+        ["units", "-m", "12"], ["units", "-m", "1"],
+        ["anosov", "--matrix", "1,5,2;2,-1,-1;3,2,0"], ["anosov", "--matrix", "1,0,0;0,1,0;0,0,1"],
+        _j("anosov", {"matrix": [[2, 1, 0], [1, 1, 0], [0, 0, 1]]}),
+        ["anosov", "--matrix", "1,0;0,1"], _j("anosov", {"matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+        ["charpoly", "--matrix", "1,5,2;2,-1,-1;3,2,0"], _j("charpoly", [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        ["charpoly", "--matrix", "1,x,0;0,1,0;0,0,1"], _j("charpoly", [[1, 2, 3], [4, 5, 6], [7, 8, 10]]),
+    ]
+    for doc in SYMPLECTIC_DOCS:
+        for action in ("decide", "construct", "hk-check"):
+            reqs.append(_j("symplectic " + action, {"algebra": doc, "k": 2} if action == "hk-check" else doc))
+    reqs += [_j("symplectic decide", {"dim": 1.5, "unit": [1], "products": []}),
+             _j("symplectic construct", {"dim": 1, "products": []}),
+             _j("symplectic construct", LOCAL3),
+             _j("symplectic hk-check", {"algebra": LOCAL3, "k": "2"}),
+             _j("symplectic hk-check", {"algebra": LOCAL3, "k": 1})]
+    return reqs
+
+
 def _cli_section() -> list[dict]:
     from nillat import cli
 
-    docs = [
-        {"dim": 1, "unit": [1], "products": [[1, 1, [[1, 1]]]]},
-        {"dim": 2, "unit": [1, 0], "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]]]},
-        {"dim": 2, "unit": [1, 1], "products": [[1, 1, [[1, 1]]], [2, 2, [[2, 1]]]]},
-        {"dim": 4, "unit": [1, 0, 0, 0],
-         "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [1, 3, [[3, 1]]], [1, 4, [[4, 1]]], [2, 2, [[3, 1]]]]},
-        {"dim": 4, "unit": [1, 0, 0, 0],
-         "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [1, 3, [[3, 1]]], [1, 4, [[4, 1]]]]},
-        {"dim": 2, "unit": [1, 0], "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 2]]]]},
-        {"dim": 2, "unit": [1, 0], "products": [[1, 1, [[1, 1]]], [1, 2, [[2, 1]]], [2, 2, [[1, 1]]]]},
-    ]
     out = []
-    for doc in docs:
-        for action in ("decide", "construct", "hk-check"):
-            arg = {"algebra": doc, "k": 2} if action == "hk-check" else doc
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(["symplectic", action, "--json", json.dumps(arg)])
-            out.append({"action": action, "input": doc, "exit": code, "stdout": buf.getvalue()})
+    for argv in cli_requests():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        out.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
     return out
 
 
