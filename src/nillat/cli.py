@@ -3,6 +3,10 @@
 Exit codes: 0 success; 1 mathematical answer "no" where the answer is the
 point (filiform isom, anosov, commensurable); 2 input error; 3 precondition
 or structural error.  Output is a single JSON document on stdout.
+
+Each subcommand imports the library modules it runs inside its own
+function (or branch), so one `nillat <cmd>` process loads only those;
+tests/test_cli.py pins the module sets.
 """
 
 from __future__ import annotations
@@ -141,16 +145,13 @@ def cmd_commensurable(args) -> int:
 
 def cmd_trid_invariants(args) -> int:
     from . import jsonio
+    from .classify import trid_invariants, trid_invariants_from_model
 
     doc = _load_doc(args)
     if "model" in doc:
-        from .classify import trid_invariants_from_model
-
         model = jsonio.parse_group_model(doc["model"])
         inv = trid_invariants_from_model(model)
     else:
-        from .classify import trid_invariants
-
         inv = trid_invariants(
             jsonio.parse_int_matrix(doc["center"]), jsonio.parse_int_matrix(doc["derived"])
         )
@@ -235,11 +236,10 @@ def cmd_relations(args) -> int:
 
 def cmd_symplectic(args) -> int:
     from . import jsonio
+    from .heisenberg import h1_cocycle_construct, h1_symplectic_decision, hk_degeneracy_check
 
     doc = _load_doc(args)
     if args.action == "decide":
-        from .heisenberg import h1_symplectic_decision
-
         A = jsonio.parse_comm_algebra(doc)
         d = h1_symplectic_decision(A)
         _emit({
@@ -251,15 +251,11 @@ def cmd_symplectic(args) -> int:
         })
         return 0
     if args.action == "construct":
-        from .heisenberg import h1_cocycle_construct
-
         A = jsonio.parse_comm_algebra(doc)
         form = h1_cocycle_construct(A)
         _emit({"dim": form.algebra.dim, "matrix": jsonio.dump_matrix(form.matrix)})
         return 0
     if args.action == "hk-check":
-        from .heisenberg import hk_degeneracy_check
-
         A = jsonio.parse_comm_algebra(doc["algebra"])
         cert = hk_degeneracy_check(A, jsonio.parse_int(doc["k"], "k"))
         _emit({

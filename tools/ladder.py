@@ -44,8 +44,10 @@ with bytecode caching on (PYTHONDONTWRITEBYTECODE unset and
 PYTHONPYCACHEPREFIX a temporary directory, warmed by one untimed spawn per
 side, so nothing is written into either checkout).
 
-Standard library only; nothing is written to disk except the temporary
-bytecode cache, which is removed.
+Standard library only.  The layer ladder writes nothing to disk; the
+spawn ladder writes only its temporary bytecode cache, which it removes,
+and whatever bytecode the inherited environment lets the `host_env`
+spawns write (none under PYTHONDONTWRITEBYTECODE=1).
 """
 
 from __future__ import annotations
@@ -213,43 +215,38 @@ def _spawn(checkout: Path, argv: list[str], env: dict) -> tuple[float, tuple]:
     return ms, (proc.returncode, proc.stdout, proc.stderr)
 
 
-def _spawn_column(parent: Path, change: Path, env: dict, warm: bool) -> list[dict]:
-    rows = []
-    for name, argv in SPAWN_RUNGS:
-        if warm:
-            for checkout in (parent, change):
-                _spawn(checkout, argv, env)
-        samples: dict[Path, list[float]] = {parent: [], change: []}
-        results = set()
-        for r in range(SPAWN_REPEATS):
-            for checkout in (parent, change) if r % 2 == 0 else (change, parent):
-                ms, result = _spawn(checkout, argv, env)
-                samples[checkout].append(ms)
-                results.add(result)
-        if len(results) != 1:
-            raise SystemExit(f"spawn rung {name!r} answered differently: {sorted(results)}")
-        (code, _, stderr), = results
-        if stderr:
-            raise SystemExit(f"spawn rung {name!r} wrote to stderr: {stderr}")
-        pm, cm = (statistics.median(samples[side]) for side in (parent, change))
-        rows.append({"rung": name, "argv": argv, "exit": code,
-                     "parent_min_ms": round(min(samples[parent]), 2), "parent_median_ms": round(pm, 2),
-                     "change_min_ms": round(min(samples[change]), 2), "change_median_ms": round(cm, 2),
-                     "median_speedup": round(pm / cm, 2)})
-    return rows
+def _spawn_rung(name: str, parent: Path, change: Path, argv: list[str], env: dict, warm: bool) -> tuple[int, dict]:
+    """(exit code, min and median ms per side) of SPAWN_REPEATS alternating spawns per side."""
+    if warm:
+        for checkout in (parent, change):
+            _spawn(checkout, argv, env)
+    samples: dict[Path, list[float]] = {parent: [], change: []}
+    results = set()
+    for r in range(SPAWN_REPEATS):
+        for checkout in (parent, change) if r % 2 == 0 else (change, parent):
+            ms, result = _spawn(checkout, argv, env)
+            samples[checkout].append(ms)
+            results.add(result)
+    if len(results) != 1:
+        raise SystemExit(f"spawn rung {name!r} answered differently: {sorted(results)}")
+    code, _, stderr = results.pop()
+    if stderr:
+        raise SystemExit(f"spawn rung {name!r} wrote to stderr: {stderr}")
+    pm, cm = (statistics.median(samples[side]) for side in (parent, change))
+    return code, {"parent_min_ms": round(min(samples[parent]), 2), "parent_median_ms": round(pm, 2),
+                  "change_min_ms": round(min(samples[change]), 2), "change_median_ms": round(cm, 2),
+                  "median_speedup": round(pm / cm, 2)}
 
 
 def _spawn_merged(parent: Path, change: Path) -> dict:
-    host_env = dict(os.environ)
-    bytecode = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    rungs = []
     with tempfile.TemporaryDirectory(prefix="nillat-pycache-") as prefix:
+        bytecode = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         bytecode["PYTHONPYCACHEPREFIX"] = prefix
-        columns = {"host_env": _spawn_column(parent, change, host_env, warm=False),
-                   "bytecode": _spawn_column(parent, change, bytecode, warm=True)}
-    rungs = [{"rung": row["rung"], "argv": row["argv"], "exit": row["exit"],
-              **{col: {k: v for k, v in rows[i].items() if k not in ("rung", "argv", "exit")}
-                 for col, rows in columns.items()}}
-             for i, row in enumerate(columns["host_env"])]
+        for name, argv in SPAWN_RUNGS:
+            code, host = _spawn_rung(name, parent, change, argv, dict(os.environ), warm=False)
+            _, cached = _spawn_rung(name, parent, change, argv, bytecode, warm=True)
+            rungs.append({"rung": name, "argv": argv, "exit": code, "host_env": host, "bytecode": cached})
     return {
         "what": SPAWN_WHAT,
         "command": "python3 tools/ladder.py --spawn PARENT CHANGE",

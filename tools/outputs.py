@@ -184,7 +184,7 @@ def _j(command, doc) -> list[str]:
     return [*command.split(), "--json", json.dumps(doc)]
 
 
-def cli_requests() -> list[list[str]]:
+def _cli_requests() -> list[list[str]]:
     """argv lists for all 27 entry points: answers, and malformed input for exit 2 and exit 3.
 
     validate-lie, example5, cybe, units and filiform aut have no
@@ -293,7 +293,7 @@ def _cli_section() -> list[dict]:
     from nillat import cli
 
     out = []
-    for argv in cli_requests():
+    for argv in _cli_requests():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.main(argv)
