@@ -40,10 +40,6 @@ def squarefree_part(n: int) -> int:
     return sign * out * n
 
 
-def _is_squarefree(m: int) -> bool:
-    return m != 0 and squarefree_part(m) == m
-
-
 @dataclass(frozen=True)
 class QuadraticRing:
     m: int
@@ -58,7 +54,7 @@ def ring_of_integers(m: int) -> QuadraticRing:
     """The maximal order of Q(sqrt(m)): HALF basis iff m = 1 (mod 4)."""
     if m in (0, 1):
         raise InputError("m must differ from 0 and 1")
-    if not _is_squarefree(m):
+    if squarefree_part(m) != m:
         raise InputError("m must be squarefree")
     return QuadraticRing(m, HALF if m % 4 == 1 else SQRT)
 
