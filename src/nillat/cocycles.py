@@ -15,13 +15,16 @@ from typing import Sequence
 
 from .errors import InputError, PreconditionError
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac
+from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac, _reduced_rows
 
 
 class AlternatingForm:
-    """Alternating bilinear form on a LieAlgebra, stored as a skew matrix."""
+    """Alternating bilinear form on a LieAlgebra, stored as its nonzero upper entries.
 
-    __slots__ = ("algebra", "matrix")
+    `entries` maps (i, j), i < j, to w(e_i, e_j) != 0; `matrix` builds the dense skew matrix on each read.
+    """
+
+    __slots__ = ("algebra", "entries")
 
     def __init__(self, algebra: LieAlgebra, matrix: Matrix):
         if matrix.rows != algebra.dim or matrix.cols != algebra.dim:
@@ -33,62 +36,79 @@ class AlternatingForm:
                 if (a or b) and a != -b:
                     raise InputError("form matrix is not skew-symmetric")
         self.algebra = algebra
-        self.matrix = matrix
+        self.entries = {(i, j): a for i, row in enumerate(m) for j, a in enumerate(row) if j > i and a}
 
     @staticmethod
     def from_upper_entries(algebra: LieAlgebra, entries: dict[tuple[int, int], object]) -> "AlternatingForm":
+        """The form with w(e_i, e_j) = c for each (i, j): c; a key with i > j sets w(e_j, e_i) = -c."""
         n = algebra.dim
-        m = [[Q(0)] * n for _ in range(n)]
+        upper: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in entries.items():
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise InputError(f"bad form index pair ({i},{j})")
             c = _frac(c)
-            m[i][j] += c
-            m[j][i] -= c
-        return AlternatingForm(algebra, Matrix(m))
+            if i > j:
+                i, j, c = j, i, -c
+            upper[(i, j)] = upper.get((i, j), 0) + c
+        form = object.__new__(AlternatingForm)
+        form.algebra, form.entries = algebra, {p: c for p, c in upper.items() if c}
+        return form
+
+    @property
+    def matrix(self) -> Matrix:
+        n = self.algebra.dim
+        return Matrix([[row.get(j, Q(0)) for j in range(n)] for row in self.rows()])
+
+    def rows(self) -> list[dict[int, Fraction]]:
+        """The rows w(e_i, .) as {j: w(e_i, e_j)}, zeros left out."""
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.algebra.dim)]
+        for (i, j), c in self.entries.items():
+            out[i][j] = c
+            out[j][i] = -c
+        return out
 
     def __call__(self, x: Sequence, y: Sequence) -> Fraction:
-        xv = [_frac(a) for a in x]
-        yv = [_frac(a) for a in y]
-        if len(yv) != self.matrix.cols:
+        fx = self.flat(x)
+        yv = [_frac(b) for b in y]
+        if len(yv) != len(fx):
             raise InputError("vector length does not match column count")
-        ys = [(j, b) for j, b in enumerate(yv) if b != 0]
-        total = Q(0)
-        for a, row in zip(xv, self.matrix.data):
-            if a != 0:
-                for j, b in ys:
-                    total += a * row[j] * b
-        return total
+        return sum((a * b for a, b in zip(fx, yv) if a and b), Q(0))
 
     def flat(self, x: Sequence) -> list[Fraction]:
-        """The covector w(x, .) as a coordinate list: sum_i x_i (row i of the matrix)."""
+        """The covector w(x, .) as a coordinate list."""
         xv = [_frac(a) for a in x]
-        n = self.matrix.cols
+        n = self.algebra.dim
         if len(xv) != n:
             raise InputError("vector length does not match column count")
         out = [Q(0)] * n
-        for a, row in zip(xv, self.matrix.data):
-            if a:
-                for j, w in enumerate(row):
-                    if w:
-                        out[j] += a * w
+        for (i, j), c in self.entries.items():
+            if xv[i]:
+                out[j] += xv[i] * c
+            if xv[j]:
+                out[i] -= xv[j] * c
         return out
 
     def is_cocycle(self) -> bool:
-        w = self.matrix.data
+        w = self.entries
         return all(
-            sum(c * w[a][b] for (a, b), c in terms.items()) == 0
+            sum(c * w[ab] for ab, c in terms.items() if ab in w) == 0
             for terms in self.algebra.cyclic_terms().values()
         )
 
     def is_nondegenerate(self) -> bool:
-        return self.matrix.det() != 0
+        return len(_reduced_rows(self.rows())) == self.algebra.dim
 
     def add(self, other: "AlternatingForm") -> "AlternatingForm":
-        return AlternatingForm(self.algebra, self.matrix + other.matrix)
+        if other.algebra.dim != self.algebra.dim:
+            raise InputError("matrix shapes differ")
+        entries = dict(self.entries)
+        for p, c in other.entries.items():
+            entries[p] = entries.get(p, 0) + c
+        return AlternatingForm.from_upper_entries(self.algebra, entries)
 
     def scale(self, c) -> "AlternatingForm":
-        return AlternatingForm(self.algebra, self.matrix.scale(c))
+        c = _frac(c)
+        return AlternatingForm.from_upper_entries(self.algebra, {p: c * w for p, w in self.entries.items()})
 
 
 def _pair_index(n: int) -> list[tuple[int, int]]:
@@ -143,8 +163,8 @@ def left_symmetric_product(algebra: LieAlgebra, form: AlternatingForm) -> list[l
     if not form.is_nondegenerate():
         raise PreconditionError("form is degenerate")
     n = algebra.dim
-    w = form.matrix.data
-    wt = form.matrix.transpose()
+    m = form.matrix
+    w, wt = m.data, m.transpose()
     table: list[list[list[Fraction]]] = []
     for i in range(n):
         ad_i = [algebra.basis_bracket(i, k) for k in range(n)]

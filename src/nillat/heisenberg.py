@@ -18,7 +18,7 @@ from .cocycles import AlternatingForm, cocycle_space
 from .commalg import CommAlgebra, SocleReport, radical_and_socle
 from .errors import InputError, PreconditionError
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, rref_basis, span_dim, _unit
+from .matrix import Matrix, Q, rref_basis, span_dim, sparse_kernel_basis, _unit
 
 
 @dataclass
@@ -182,12 +182,10 @@ def hk_degeneracy_check(base: CommAlgebra, k: int) -> DegeneracyCertificate:
         raise PreconditionError("degeneracy statement needs k >= 2")
     H = heisenberg_over(base, k)
     z2, _ = cocycle_space(H.algebra)
-    l = base.dim
-    g_block = [_unit(H.algebra.dim, H.g_index(t)) for t in range(l)]
-    for form in z2:
-        for gv in g_block:
-            if any(c != 0 for c in form.flat(gv)):
-                return DegeneracyCertificate(False, "witness")  # pragma: no cover
+    # the g-block is the last one, so a form pairing it nontrivially has an entry (i, j), j >= g_0
+    if any(j >= H.g_index(0) for form in z2 for _, j in form.entries):
+        return DegeneracyCertificate(False, "witness")  # pragma: no cover
+    g_block = [_unit(H.algebra.dim, H.g_index(t)) for t in range(base.dim)]
     return DegeneracyCertificate(True, "common-kernel", kernel_basis=rref_basis(g_block))
 
 
@@ -211,10 +209,7 @@ def generic_degeneracy_search(
         return DegeneracyCertificate(True, "common-kernel",
                                      kernel_basis=rref_basis([_unit(n, 0)]))
     # common kernel of all basis cocycles
-    rows = []
-    for form in z2:
-        rows.extend(form.matrix.data)
-    common = Matrix(rows).kernel_basis()
+    common = sparse_kernel_basis([row for form in z2 for row in form.rows()], n)
     if common:
         return DegeneracyCertificate(True, "common-kernel", kernel_basis=rref_basis(common))
     if blocks is not None:
@@ -247,15 +242,12 @@ def generic_degeneracy_search(
         count += 1
         if count > budget:
             raise PreconditionError("evaluation budget exhausted; no certificate found")
-        m = Matrix.zero(n, n)
+        combo = AlternatingForm.from_upper_entries(algebra, {})
         for c, form in zip(point, z2):
             if c:
-                m = m + form.matrix.scale(c)
-        if m.det() != 0:
-            return DegeneracyCertificate(
-                False, "witness",
-                witness=AlternatingForm(algebra, m),
-            )
+                combo = combo.add(form.scale(c))
+        if combo.is_nondegenerate():
+            return DegeneracyCertificate(False, "witness", witness=combo)
     return DegeneracyCertificate(True, "grid")
 
 

@@ -95,9 +95,6 @@ class Matrix:
     def copy_data(self) -> list[list[Fraction]]:
         return [row[:] for row in self.data]
 
-    def row(self, i: int) -> list[Fraction]:
-        return self.data[i][:]
-
     def column(self, j: int) -> list[Fraction]:
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -149,20 +146,6 @@ class Matrix:
         if len(v) != self.cols:
             raise InputError("vector length does not match column count")
         return [sum(a * x for a, x in zip(row, v)) for row in self.data]
-
-    def power(self, p: int) -> "Matrix":
-        if not self.is_square:
-            raise PreconditionError("power of a non-square matrix")
-        if p < 0:
-            return self.inverse().power(-p)
-        out = Matrix.identity(self.rows)
-        base = self
-        while p:
-            if p & 1:
-                out = out * base
-            base = base * base
-            p >>= 1
-        return out
 
     # -- elimination ---------------------------------------------------------
 

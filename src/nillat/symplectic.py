@@ -203,7 +203,6 @@ def flat_symplectic_structure(
     # v: w(v, c) = w([e, c], e) for c in ideal; w(v, e) = 0
     rows = []
     rhs = []
-    wt = form.matrix.transpose()
     for c in ideal:
         rows.append(form.flat(c))          # w(v, c) = sum_i v_i w[i][c-dir]
         rhs.append(form(algebra.bracket(e, c), e))

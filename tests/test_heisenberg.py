@@ -25,7 +25,7 @@ from nillat.heisenberg import (
     heisenberg_over,
     hk_degeneracy_check,
 )
-from nillat.liealg import _unit
+from nillat.liealg import LieAlgebra, _unit
 from nillat.matrix import rref_basis, span_dim
 
 
@@ -179,6 +179,18 @@ def test_construct_computes_report_and_search_once(monkeypatch, algebra, searche
     assert form.is_cocycle() and form.is_nondegenerate()
     # the local path decides from the socle report alone and never searches
     assert calls == {"report": 1, "search": searches}
+
+
+def test_generic_search_grid_tier():
+    # Z^2 = span(e0^e1, e0^e2, e0^e3, e1^e2, e1^e3): no basis form and not their sum is
+    # nondegenerate, so the witness comes from the grid, at its 31st point (0, 0, 1, 1, 0)
+    L = LieAlgebra(4, {(0, 1): {2: 2}})
+    cert = generic_degeneracy_search(L)
+    assert (cert.degenerate, cert.kind) == (False, "witness")
+    assert cert.witness.matrix.data == [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    assert cert.witness.is_cocycle()
+    with pytest.raises(PreconditionError, match="^evaluation budget exhausted; no certificate found$"):
+        generic_degeneracy_search(L, budget=30)
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -6,9 +6,10 @@ every basis triple.  Bracket tables are drawn at random, most of them not
 Lie; 2-step tables satisfy Jacobi by construction.  `ad` and `center_basis`,
 which read the stored brackets, are compared with the dense bracket on unit
 vectors.  The sparse elimination, the cocycle-space solve built on it, the
-form read `flat` and the commutative-algebra products, validation, trace
-form and socle are compared with plain-list elimination and with dense
-copies of the earlier code.
+reads of a form's sparse upper entries (`flat`, evaluation, nondegeneracy,
+sums and multiples) and the commutative-algebra products, validation, trace
+form and socle are compared with plain-list elimination, with dense matrix
+arithmetic and with dense copies of the earlier code.
 """
 
 from fractions import Fraction as F
@@ -185,16 +186,40 @@ def test_cocycle_space_matches_dense_solve(L):
 @given(st.data())
 def test_flat_matches_dense_read(data):
     n = data.draw(st.integers(1, 8))
-    form = AlternatingForm(LieAlgebra(n, {}), data.draw(skew_matrices(n)))
-    x = data.draw(st.lists(st.one_of(small, st.integers(-3, 3)), min_size=n, max_size=n))
+    L = LieAlgebra(n, {})
+    W, W2 = data.draw(skew_matrices(n)), data.draw(skew_matrices(n))
+    form = AlternatingForm(L, W)
+    assert form.matrix.data == W.data
+    x, y = (data.draw(st.lists(st.one_of(small, st.integers(-3, 3)), min_size=n, max_size=n)) for _ in "xy")
     got = form.flat(x)
     assert got == dense_flat(form, x)
     assert all(type(c) is F for c in got)
+    assert form(x, y) == sum(F(x[i]) * W[i, j] * y[j] for i in range(n) for j in range(n))
+    assert form.is_nondegenerate() == (W.det() != 0)
+    c = data.draw(st.one_of(small, st.integers(-2, 2)))
+    assert form.add(AlternatingForm(L, W2)).matrix == W + W2
+    assert form.scale(c).matrix == W.scale(c)
+    # each upper entry given as (i, j): w or as (j, i): -w, some split in two keys that cancel to it
+    entries = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w, d = W[i, j], data.draw(st.sampled_from([None, F(0), F(2)]))
+            if d is None:
+                entries.update({(i, j): w} if data.draw(st.booleans()) else {(j, i): -w})
+            else:
+                entries[(i, j)], entries[(j, i)] = w + d, d
+    upper = AlternatingForm.from_upper_entries(L, entries)
+    assert upper.matrix == W
+    assert upper.entries == form.entries == {(i, j): W[i, j] for i in range(n) for j in range(i + 1, n) if W[i, j]}
     for wrong in ([F(1)] * (n + 1), [F(1)] * (n - 1)):
         with pytest.raises(InputError, match="vector length"):
             form.flat(wrong)
         with pytest.raises(InputError, match="vector length"):
             dense_flat(form, wrong)
+        with pytest.raises(InputError, match="vector length"):
+            form(wrong, y)
+        with pytest.raises(InputError, match="vector length"):
+            form(x, wrong)
 
 
 def _direct_product(a, b):
