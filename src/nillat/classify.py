@@ -518,16 +518,13 @@ def _sylvester_solve_unitriangular(g1: IntRows, g2: IntRows) -> IntRows | None:
     rhs = []
     for r in range(n):
         for cc in range(n):
-            # (X g1 - g2 X)[r][cc] = (g2 - g1)[r][cc]
+            # (X g1 - g2 X)[r][cc] = (g2 - g1)[r][cc]: only the unknowns of
+            # row r and of column cc occur
             row = [0] * len(unknowns)
-            for (i, j), t in index.items():
-                coeff = 0
-                if i == r:
-                    coeff += g1[j][cc]
-                if j == cc:
-                    coeff -= g2[r][i]
-                if coeff:
-                    row[t] = coeff
+            for j in range(r):
+                row[index[r, j]] += g1[j][cc]
+            for i in range(cc + 1, n):
+                row[index[i, cc]] -= g2[r][i]
             target = g2[r][cc] - g1[r][cc]
             if any(row) or target:
                 rows.append(row)

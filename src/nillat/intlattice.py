@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
+from .matrix import Matrix, parse_int
 
 IntRows = list[list[int]]
 
@@ -30,8 +32,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def _ints(v: Sequence[int]) -> list[int]:
+    # exact ints skip parse_int, which rejects what int() would truncate
+    return [x if type(x) is int else parse_int(x, "integer matrix entry") for x in v]
+
+
 def _check_int_rows(m: Sequence[Sequence[int]]) -> IntRows:
-    rows = [[int(x) for x in row] for row in m]
+    rows = [_ints(row) for row in m]
     if not rows or not rows[0]:
         raise InputError("matrix needs at least one row and one column")
     w = len(rows[0])
@@ -42,7 +49,7 @@ def _check_int_rows(m: Sequence[Sequence[int]]) -> IntRows:
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_identity(n: int) -> IntRows:
@@ -92,16 +99,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfResult:
     left = mat_identity(rows)
     right = mat_identity(cols)
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            right[r][i] -= q * right[r][j]
-
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         left[i], left[j] = left[j], left[i]
@@ -114,42 +111,55 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfResult:
 
     t = 0
     while t < min(rows, cols):
-        # locate minimal |pivot| in the trailing block
-        piv = None
+        # minimal |pivot| in the trailing block, the first one in row-major order
+        piv, low = None, 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+                if row[j] and (piv is None or abs(row[j]) < low):
+                    piv, low = (i, j), abs(row[j])
         if piv is None:
             break
         swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        if piv[1] != t:
+            swap_cols(t, piv[1])
+        p = a[t][t]
         dirty = False
+        # Row t stays fixed while its multiples leave the rows below it, and
+        # column t while its multiples leave the columns to its right, so only
+        # the nonzero entries of row t and the rows where column t is nonzero
+        # take part.
+        nz_a = [(c, x) for c, x in enumerate(a[t]) if x]
+        nz_left = [(c, x) for c, x in enumerate(left[t]) if x]
         for i in range(t + 1, rows):
             if a[i][t]:
-                q = a[i][t] // a[t][t]
-                row_op(i, t, q)
-                if a[i][t]:
+                q = a[i][t] // p
+                ai, li = a[i], left[i]
+                for c, x in nz_a:
+                    ai[c] -= q * x
+                for c, x in nz_left:
+                    li[c] -= q * x
+                if ai[t]:
                     dirty = True
+        hot_a = [r for r in a if r[t]]
+        hot_right = [r for r in right if r[t]]
         for j in range(t + 1, cols):
             if a[t][j]:
-                q = a[t][j] // a[t][t]
-                col_op(j, t, q)
+                q = a[t][j] // p
+                for r in hot_a:
+                    r[j] -= q * r[t]
+                for r in hot_right:
+                    r[j] -= q * r[t]
                 if a[t][j]:
                     dirty = True
         if dirty:
             continue  # smaller pivot appeared; redo this step
-        # divisibility of the rest of the block by the pivot
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_op(t, bad, -1)  # fold the offending row in and loop
+        # divisibility of the rest of the block by the pivot (a unit divides everything)
+        bad = None if p in (1, -1) else next(
+            (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:])), None)
+        if bad is not None:  # fold the offending row in and loop
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            left[t] = [x + y for x, y in zip(left[t], left[bad])]
             continue
         t += 1
 
@@ -169,7 +179,7 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> IntRows:
     """
     if not vectors:
         return []
-    work = [list(map(int, v)) for v in vectors if any(x != 0 for x in v)]
+    work = [v for v in map(_ints, vectors) if any(v)]
     if not work:
         return []
     cols = len(work[0])
@@ -212,10 +222,10 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> IntRows:
 
 def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     """Membership of an integer vector in the row lattice given by `basis`."""
+    v = _ints(vec)
     if not basis:
-        return all(x == 0 for x in vec)
+        return not any(v)
     cols = len(basis[0])
-    v = list(map(int, vec))
     for b in basis:
         j = next(c for c in range(cols) if b[c] != 0)
         if v[j] % b[j] != 0:
@@ -228,14 +238,12 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
 def integer_kernel_basis(m: Sequence[Sequence[int]]) -> IntRows:
     """Saturated basis of {x in Z^cols : M x = 0} (unimodular columns of V)."""
     a = _check_int_rows(m)
-    res = smith_normal_form(a)
-    cols = len(a[0])
-    vt = list(map(list, zip(*res.right)))  # rows of V^T = columns of V
-    out = []
-    for j in range(cols):
-        d = res.divisors[j] if j < len(res.divisors) else 0
-        if d == 0:
-            out.append(vt[j])
+    return _snf_kernel(smith_normal_form(a), len(a[0]))
+
+
+def _snf_kernel(res: SnfResult, cols: int) -> IntRows:
+    """Hermite basis of the columns of `res.right` whose divisor is zero."""
+    out = [[row[j] for row in res.right] for j in range(cols) if j >= len(res.divisors) or res.divisors[j] == 0]
     return hermite_row_basis(out) if out else []
 
 
@@ -248,11 +256,11 @@ def column_lattice_basis(m: Sequence[Sequence[int]]) -> IntRows:
 def solve_diophantine(m: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], IntRows] | None:
     """All integer solutions of M x = rhs as (particular, kernel basis); None if unsolvable."""
     a = _check_int_rows(m)
-    b = list(map(int, rhs))
+    b = _ints(rhs)
     if len(b) != len(a):
         raise InputError("right-hand side has wrong length")
     res = smith_normal_form(a)
-    ub = [sum(res.left[i][k] * b[k] for k in range(len(b))) for i in range(len(b))]
+    ub = [sum(map(mul, row, b)) for row in res.left]
     cols = len(a[0])
     y = [0] * cols
     for i in range(len(b)):
@@ -265,8 +273,8 @@ def solve_diophantine(m: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[l
                 return None
             if i < cols:
                 y[i] = ub[i] // d
-    x = [sum(res.right[r][j] * y[j] for j in range(cols)) for r in range(cols)]
-    return x, integer_kernel_basis(a)
+    x = [sum(map(mul, row, y)) for row in res.right]
+    return x, _snf_kernel(res, cols)
 
 
 def quotient_invariants(ambient: Sequence[Sequence[int]], sub: Sequence[Sequence[int]]) -> list[int]:
@@ -284,8 +292,6 @@ def quotient_invariants(ambient: Sequence[Sequence[int]], sub: Sequence[Sequence
         if not lattice_contains(amb, v):
             raise InputError("sub-lattice is not contained in the ambient lattice")
     # coordinates of sub generators in the ambient basis (exact integer solve)
-    from .matrix import Matrix
-
     amb_t = Matrix([[Fraction(x) for x in row] for row in amb]).transpose()
     coords = []
     for v in s:

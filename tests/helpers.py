@@ -3,10 +3,11 @@
 These deliberately avoid the library's own linear algebra: plain-list
 Gaussian elimination and direct definitional evaluation, so a bug in the
 production path cannot hide inside its own verification.  The exceptions are
-the last three sections, which keep the dense cocycle-space solve and form
-read, the dense commutative-algebra products, trace form and socle, and the
-filiform decision path as it was before it became integer-only, to compare
-the new paths' outputs against.
+the last four sections, which keep the dense cocycle-space solve and form
+read, the dense commutative-algebra products, trace form and socle, the
+filiform decision path as it was before it became integer-only, and the
+Smith normal form and Sylvester rows as they were before they skipped zero
+entries, to compare the new paths' outputs against.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from math import isqrt
 from nillat.classify import FiliformLatticeSpec, _sylvester_solve_unitriangular, theta_invariant
 from nillat.cocycles import AlternatingForm, _pair_index
 from nillat.errors import InputError, PreconditionError, StructuralError
-from nillat.intlattice import IntRows, mat_identity, mat_mul, xgcd
+from nillat.intlattice import IntRows, SnfResult, mat_identity, mat_mul, xgcd
 from nillat.matrix import Matrix
 from nillat.quadratic import RingElement, ring_of_integers
 
@@ -557,3 +558,115 @@ def fraction_checked_witness(s1: FiliformLatticeSpec, s2: FiliformLatticeSpec, p
         raise StructuralError("witness inversion failed")  # pragma: no cover
     return psi
 
+
+
+#
+# Verbatim copies (renamed) of the dense Smith normal form and of the
+# Sylvester row build that scanned every unknown for every entry, kept as
+# references for the sparse updates.
+
+
+def dense_smith_normal_form(m) -> SnfResult:
+    """Smith normal form with unimodular transforms.
+
+    Pivot choice is the minimal nonzero absolute value of the working block;
+    divisors come out nonnegative with d1 | d2 | ... .
+    """
+    a = [[int(x) for x in row] for row in m]
+    rows, cols = len(a), len(a[0])
+    left = mat_identity(rows)
+    right = mat_identity(cols)
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in range(rows):
+            a[r][i] -= q * a[r][j]
+        for r in range(cols):
+            right[r][i] -= q * right[r][j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            right[r][i], right[r][j] = right[r][j], right[r][i]
+
+    t = 0
+    while t < min(rows, cols):
+        # locate minimal |pivot| in the trailing block
+        piv = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                q = a[i][t] // a[t][t]
+                row_op(i, t, q)
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                q = a[t][j] // a[t][t]
+                col_op(j, t, q)
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue  # smaller pivot appeared; redo this step
+        # divisibility of the rest of the block by the pivot
+        bad = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % a[t][t] != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_op(t, bad, -1)  # fold the offending row in and loop
+            continue
+        t += 1
+
+    for i in range(min(rows, cols)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            left[i] = [-x for x in left[i]]
+    divisors = [a[i][i] for i in range(min(rows, cols))]
+    return SnfResult(divisors, left, right)
+
+
+def dense_sylvester_system(g1, g2) -> tuple[IntRows, list[int]]:
+    """The rows and right-hand side of X g1 - g2 X = g2 - g1 in the lower unknowns X[i][j], i > j."""
+    n = len(g1)
+    unknowns = [(i, j) for i in range(n) for j in range(i)]
+    index = {u: t for t, u in enumerate(unknowns)}
+    rows = []
+    rhs = []
+    for r in range(n):
+        for cc in range(n):
+            # (X g1 - g2 X)[r][cc] = (g2 - g1)[r][cc]
+            row = [0] * len(unknowns)
+            for (i, j), t in index.items():
+                coeff = 0
+                if i == r:
+                    coeff += g1[j][cc]
+                if j == cc:
+                    coeff -= g2[r][i]
+                if coeff:
+                    row[t] = coeff
+            target = g2[r][cc] - g1[r][cc]
+            if any(row) or target:
+                rows.append(row)
+                rhs.append(target)
+    return rows, rhs

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from helpers import filiform_isomorphic_bounded_oracle
+from nillat import classify, intlattice
 from nillat.classify import (
     FiliformLatticeSpec,
     central_quotients,
@@ -370,6 +371,27 @@ def test_isomorphism_n4_matches_brute_force():
             assert _brute_force_n4_oracle(s1, s2, bound=2)
         else:
             assert not _brute_force_n4_oracle(s1, s2, bound=2)
+
+
+def test_isomorphism_makes_one_smith_decomposition(monkeypatch):
+    calls = {"smith": 0, "kernel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(intlattice, "smith_normal_form", counted("smith", intlattice.smith_normal_form))
+    for module in (intlattice, classify):
+        monkeypatch.setattr(module, "integer_kernel_basis", counted("kernel", module.integer_kernel_basis))
+    base = FiliformLatticeSpec(5, [[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0],
+                                   [4, -1, 0, 5, 1]])
+    u = [[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [0, -2, 1, 0, 0], [3, 0, 1, 1, 0], [0, 2, 0, -1, 1]]
+    other = FiliformLatticeSpec(5, (Matrix(u).inverse() * Matrix(base.g_rows()) * Matrix(u)).to_int_rows())
+    ok, _ = filiform_isomorphic(base, other)
+    # the one Sylvester solve reads its kernel off the decomposition it made
+    assert ok and calls == {"smith": 1, "kernel": 0}
 
 
 def test_isomorphism_dimension_mismatch():

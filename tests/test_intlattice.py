@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from nillat import intlattice
 from nillat.errors import InputError
 from nillat.intlattice import (
     det_int,
@@ -94,6 +97,39 @@ def test_solve_diophantine():
     part, ker = solve_diophantine([[1, 1]], [5])
     assert part[0] + part[1] == 5
     assert len(ker) == 1
+
+
+def test_solve_diophantine_makes_one_smith_decomposition(monkeypatch):
+    calls = []
+    snf = intlattice.smith_normal_form
+    monkeypatch.setattr(intlattice, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+    x, ker = solve_diophantine([[1, 2, 3], [0, 2, 4]], [6, 6])
+    assert x == [0, 3, 0] and ker == [[1, -2, 1]]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_diophantine([[2]], [Fraction(9, 2)]),
+    lambda: smith_normal_form([[Fraction(5, 2), 1], [0, 3]]),
+    lambda: det_int([[True, 2], [3, 4.9]]),
+    lambda: det_int([[1, 2], [3, 4.9]]),
+    lambda: det_int([["1", 2], [3, 4]]),
+    lambda: integer_kernel_basis([[1, "2"]]),
+    lambda: hermite_row_basis([[1, 0.5]]),
+    lambda: lattice_contains([[2, 0]], [Fraction(1, 2), 0]),
+    lambda: lattice_contains([], [Fraction(1, 2)]),
+], ids=["solve-rhs", "snf", "det-bool", "det-float", "det-str", "kernel-str", "hermite", "contains",
+        "contains-zero-lattice"])
+def test_non_integer_entries_are_rejected(call):
+    # int() would truncate these to the entries of a different matrix
+    with pytest.raises(InputError, match="is not an integer"):
+        call()
+
+
+def test_integral_entries_of_other_types_are_read_as_ints():
+    assert smith_normal_form([[Fraction(6), 1.0], [0, 9]]).divisors == [1, 54]
+    assert solve_diophantine([[2]], [Fraction(4)]) == ([2], [])
+    assert hermite_row_basis([[2.0, Fraction(0)]]) == [[2, 0]]
 
 
 def test_quotient_invariants():

@@ -9,11 +9,15 @@ vectors.  The sparse elimination, the cocycle-space solve built on it, the
 reads of a form's sparse upper entries (`flat`, evaluation, nondegeneracy,
 sums and multiples) and the commutative-algebra products, validation, trace
 form and socle are compared with plain-list elimination, with dense matrix
-arithmetic and with dense copies of the earlier code.
+arithmetic and with dense copies of the earlier code.  So are the Smith
+normal form with its sparse row and column updates, and the Sylvester rows
+of the filiform isomorphism test.
 """
 
+import random
 from fractions import Fraction as F
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,13 +35,18 @@ from helpers import (
     dense_mult_operator,
     dense_multiply,
     dense_radical_and_socle,
+    dense_smith_normal_form,
+    dense_sylvester_system,
     dense_validate,
     rref_inplace,
 )
+from nillat import classify
+from nillat.classify import FiliformLatticeSpec, filiform_normalize
 from nillat.cocycles import AlternatingForm, cocycle_space
 from nillat.commalg import CommAlgebra, frobenius_quadratic_algebra, monomial_quotient, radical_and_socle
 from nillat.errors import InputError, StructuralError
 from nillat.heisenberg import heisenberg_over
+from nillat.intlattice import integer_kernel_basis, mat_identity, mat_mul, smith_normal_form, solve_diophantine
 from nillat.liealg import LieAlgebra
 from nillat.matrix import Matrix, sparse_kernel_basis
 from nillat.symplectic import cybe_check
@@ -280,3 +289,64 @@ def test_commalg_validation_matches_dense_oracle(table):
     n, products, unit = table
     want = _structural_message(lambda: dense_validate(SimpleNamespace(dim=n, products=products, unit=unit)))
     assert _structural_message(lambda: CommAlgebra(n, products, unit)) == want
+
+
+@st.composite
+def int_matrices(draw):
+    """1-9 rows and columns; dense, or nonzero on a drawn set of cells; entries up to 1, 3, 9 or 40."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    span = draw(st.sampled_from([1, 3, 9, 40]))
+    cells = range(rows * cols) if draw(st.booleans()) else draw(st.sets(st.integers(0, rows * cols - 1)))
+    m = [[0] * cols for _ in range(rows)]
+    for c in cells:
+        m[c // cols][c % cols] = draw(st.integers(-span, span))
+    return m
+
+
+def seeded_filiform_pair(n, seed):
+    """(g, h): g with subdiagonal +-1..9 and deeper entries in [-20, 20]; h conjugate to g, or g
+    with one deep entry moved (then usually not conjugate).  Both reach the Sylvester solve."""
+    rng = random.Random(seed)
+    g = mat_identity(n)
+    for i in range(1, n):
+        g[i][i - 1] = rng.choice((1, -1)) * rng.randint(1, 9)
+        for j in range(i - 1):
+            g[i][j] = rng.randint(-20, 20)
+    h = [row[:] for row in g]
+    if rng.random() < 0.5:
+        h[rng.randint(2, n - 1)][0] += rng.choice((1, -1)) * rng.randint(1, 3)
+        return g, h
+    for _ in range(4):
+        # h <- (I - q E_ij) h (I + q E_ij), i > j
+        i = rng.randint(1, n - 1)
+        j, q = rng.randint(0, i - 1), rng.randint(-3, 3)
+        for row in h:
+            row[j] += q * row[i]
+        h[i] = [x - q * y for x, y in zip(h[i], h[j])]
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return g, [[signs[i] * signs[j] * h[i][j] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_matrices())
+def test_smith_normal_form_matches_dense_oracle(m):
+    assert smith_normal_form(m) == dense_smith_normal_form(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 8), st.integers(0, 2 ** 32))
+def test_sylvester_systems_match_dense_oracles(n, seed):
+    s1, s2 = (FiliformLatticeSpec(n, g) for g in seeded_filiform_pair(n, seed))
+    with mock.patch.object(classify, "solve_diophantine", wraps=solve_diophantine) as solve:
+        ok, witness = classify.filiform_isomorphic(s1, s2)
+    (n1, _), (n2, _) = filiform_normalize(s1), filiform_normalize(s2)
+    rows, rhs = dense_sylvester_system(n1.g, n2.g)
+    solve.assert_called_once_with(rows, rhs)
+    assert smith_normal_form(rows) == dense_smith_normal_form(rows)
+    sol = solve_diophantine(rows, rhs)
+    assert ok == (sol is not None)
+    if ok:
+        x, kernel = sol
+        assert mat_mul(rows, [[v] for v in x]) == [[b] for b in rhs]
+        assert kernel == integer_kernel_basis(rows)
+        assert mat_mul(s2.g, witness) == mat_mul(witness, s1.g)

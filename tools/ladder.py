@@ -1,7 +1,7 @@
-"""Layer ladder for the cocycle-space solve and the socle computation, on one checkout or a pair.
+"""Layer ladder for the cocycle-space solve, the socle computation and the filiform integer layer.
 
     python3 tools/ladder.py [CHECKOUT]
-    python3 tools/ladder.py PARENT CHANGE > BENCH_commalg.json
+    python3 tools/ladder.py PARENT CHANGE > BENCH_filiform.json
     python3 tools/ladder.py --spawn PARENT CHANGE > BENCH_cli_import.json
 
 With one checkout (default: the checkout this script sits in), imports
@@ -18,31 +18,39 @@ of the wall time in ms:
   `generic_degeneracy_search`;
 - `radical_and_socle(Q[x]/x^j)`, j = 2..12;
 - `truncated_polynomials(j)`, j = 2..12: building Q[x]/x^j, which checks
-  the unit axiom and associativity on every basis triple.
+  the unit axiom and associativity on every basis triple;
+- `solve_diophantine` on the Sylvester system that `filiform_isomorphic`
+  solves for a fixed seeded conjugated pair, n = 4..8;
+- `filiform_isomorphic` on a fixed seeded conjugated pair ("yes") and on a
+  fixed seeded one-entry change of a lattice that it answers "no" for,
+  n = 3..8 (seeded as in `tools/outputs.py`).
 
-dim Z^2 (or the certificate kind, the kernel dimension, or the radical and
-socle dimensions) is reported beside each rung, so two ladders can be
-checked to have computed the same thing.
+dim Z^2 (or the certificate kind, the kernel dimension, the radical and
+socle dimensions, or a digest of the system and of the answer) is reported
+beside each rung, so two ladders can be checked to have computed the same
+thing.
 
-With two checkouts, runs the one-checkout ladder on each in its own
-process, three rounds alternating which checkout goes first, checks that
-every rung computed the same thing, and prints one merged document per
-rung: `parent_min_ms` and `change_min_ms`, the minimum over all rounds;
-`parent_spread` and `change_spread`, (max - min) / min of the three
-per-round minima, which shows how far the host's speed moved between
-processes; and the speedup parent min / change min.
+With two checkouts, starts one long-lived child process per checkout, each
+of which imports its own `nillat`, builds every rung and runs it once
+untimed.  Then, rung by rung, parent and change take one timed sample each,
+alternating which goes first, until each side has SAMPLES samples, so a
+change of the host's speed hits both sides alike.  The merged document has
+one row per rung: `parent_min_ms`, `parent_median_ms`, `change_min_ms`,
+`change_median_ms`, the speedup parent median / change median, and
+`change_faster`, the number of the SAMPLES sample pairs in which the change
+was faster.
 
 With `--spawn` and two checkouts, times CLI start-up instead: one rung per
 `python -m nillat.cli <argv>` request kind of the benchmark's cli workload
 (anosov, charpoly, units, symplectic decide, classify6, multiply,
 filiform isom) plus `python -c pass`.  Parent and change spawn
-alternately inside one timing loop, so a change of the host's speed hits
-both sides alike, and each rung checks that both sides printed the same
-stdout and exit code.  Each rung reports the min and median ms per side
-in two columns: `host_env`, the environment as inherited, and `bytecode`,
-with bytecode caching on (PYTHONDONTWRITEBYTECODE unset and
-PYTHONPYCACHEPREFIX a temporary directory, warmed by one untimed spawn per
-side, so nothing is written into either checkout).
+alternately inside one timing loop in the same way, and each rung checks
+that both sides printed the same stdout and exit code.  Each rung reports
+the min and median ms per side in two columns: `host_env`, the environment
+as inherited, and `bytecode`, with bytecode caching on
+(PYTHONDONTWRITEBYTECODE unset and PYTHONPYCACHEPREFIX a temporary
+directory, warmed by one untimed spawn per side, so nothing is written into
+either checkout).
 
 Standard library only.  The layer ladder writes nothing to disk; the
 spawn ladder writes only its temporary bytecode cache, which it removes,
@@ -53,9 +61,12 @@ spawns write (none under PYTHONDONTWRITEBYTECODE=1).
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -63,15 +74,17 @@ import tempfile
 import time
 from pathlib import Path
 
+from outputs import filiform_pairs
+
 REPEATS = 5
-ROUNDS = 3
+SAMPLES = 11
 SPAWN_REPEATS = 21
 WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, and H_2(Q[x]/x^j), "
         "j=2..6; hk_degeneracy_check(Q[x]/x^j, 2), j=2..6; Matrix.kernel_basis on the stacked Z^2 rows "
-        "of H_1(Q[x]/x^j), j=2..8; and of the socle computation: radical_and_socle(Q[x]/x^j) and the "
-        "construction truncated_polynomials(j), j=2..12; min of %d wall-time samples and their spread "
-        "(max-min)/min; a merged ladder takes the min over %d alternating rounds and the spread of the "
-        "per-round minima" % (REPEATS, ROUNDS))
+        "of H_1(Q[x]/x^j), j=2..8; of the socle computation: radical_and_socle(Q[x]/x^j) and the "
+        "construction truncated_polynomials(j), j=2..12; and of the filiform integer layer: "
+        "solve_diophantine on the Sylvester system of a seeded conjugated pair, n=4..8, and "
+        "filiform_isomorphic on a seeded yes-pair and no-pair, n=3..8; wall time in ms")
 
 
 def _time(fn):
@@ -81,7 +94,11 @@ def _time(fn):
         out = fn()
         samples.append(1000 * (time.perf_counter() - t0))
     lo = min(samples)
-    return out, {"min_ms": round(lo, 3), "spread": round((max(samples) - lo) / lo, 3)}
+    return out, {"min_ms": round(lo, 4), "spread": round((max(samples) - lo) / lo, 3)}
+
+
+def _digest(x) -> str:
+    return hashlib.sha1(json.dumps(x).encode()).hexdigest()[:12]
 
 
 def _cpu_model() -> str:
@@ -102,83 +119,138 @@ def _revision(checkout: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else checkout.name
 
 
-def ladder() -> list[dict]:
+def _sylvester_system(classify, s1, s2) -> tuple[list, list]:
+    """The (rows, rhs) that filiform_isomorphic(s1, s2) hands to solve_diophantine."""
+    seen = []
+    solve = classify.solve_diophantine
+    classify.solve_diophantine = lambda rows, rhs: seen.append((rows, rhs)) or solve(rows, rhs)
+    try:
+        classify.filiform_isomorphic(s1, s2)
+    finally:
+        classify.solve_diophantine = solve
+    return seen[0]
+
+
+def rungs() -> list[tuple[dict, object, object]]:
+    """(label, call, describe): describe(call()) says what the call computed."""
+    from nillat import classify
     from nillat.cocycles import cocycle_space
     from nillat.commalg import radical_and_socle, truncated_polynomials
     from nillat.heisenberg import heisenberg_over, hk_degeneracy_check
+    from nillat.intlattice import solve_diophantine
     from nillat.matrix import Matrix
 
-    rungs = []
+    out = []
     for k, top in ((1, 8), (2, 6)):
         for j in range(2, top + 1):
             L = heisenberg_over(truncated_polynomials(j), k).algebra
-            (z2, _), t = _time(lambda: cocycle_space(L))
-            rungs.append({"op": "cocycle_space", "algebra": f"H_{k}(Q[x]/x^{j})", "dim": L.dim,
-                          "z2_dim": len(z2), **t})
+            out.append(({"op": "cocycle_space", "algebra": f"H_{k}(Q[x]/x^{j})", "dim": L.dim},
+                        lambda L=L: cocycle_space(L), lambda res: {"z2_dim": len(res[0])}))
     for j in range(2, 7):
-        cert, t = _time(lambda: hk_degeneracy_check(truncated_polynomials(j), 2))
-        rungs.append({"op": "hk_degeneracy_check", "algebra": f"H_2(Q[x]/x^{j})", "dim": 5 * j,
-                      "kind": cert.kind, **t})
+        out.append(({"op": "hk_degeneracy_check", "algebra": f"H_2(Q[x]/x^{j})", "dim": 5 * j},
+                    lambda j=j: hk_degeneracy_check(truncated_polynomials(j), 2), lambda cert: {"kind": cert.kind}))
     for j in range(2, 9):
         L = heisenberg_over(truncated_polynomials(j), 1).algebra
         stack = Matrix([row for form in cocycle_space(L)[0] for row in form.matrix.data])
-        kernel, t = _time(stack.kernel_basis)
-        rungs.append({"op": "Matrix.kernel_basis", "algebra": f"Z^2 rows of H_1(Q[x]/x^{j})", "dim": L.dim,
-                      "rows": stack.rows, "kernel_dim": len(kernel), **t})
+        out.append(({"op": "Matrix.kernel_basis", "algebra": f"Z^2 rows of H_1(Q[x]/x^{j})", "dim": L.dim,
+                     "rows": stack.rows}, stack.kernel_basis, lambda kernel: {"kernel_dim": len(kernel)}))
     for j in range(2, 13):
         A = truncated_polynomials(j)
-        rep, t = _time(lambda: radical_and_socle(A))
-        rungs.append({"op": "radical_and_socle", "algebra": f"Q[x]/x^{j}", "dim": j,
-                      "radical_dim": len(rep.radical), "socle_dim": len(rep.socle), **t})
+        out.append(({"op": "radical_and_socle", "algebra": f"Q[x]/x^{j}", "dim": j}, lambda A=A: radical_and_socle(A),
+                    lambda rep: {"radical_dim": len(rep.radical), "socle_dim": len(rep.socle)}))
     for j in range(2, 13):
-        A, t = _time(lambda: truncated_polynomials(j))
-        rungs.append({"op": "truncated_polynomials", "algebra": f"Q[x]/x^{j}", "dim": A.dim, **t})
-    return rungs
+        out.append(({"op": "truncated_polynomials", "algebra": f"Q[x]/x^{j}"},
+                    lambda j=j: truncated_polynomials(j), lambda A: {"dim": A.dim}))
+    pairs = {}
+    for n in range(3, 9):
+        spec = classify.FiliformLatticeSpec
+        _, g, h = filiform_pairs(random.Random(n), n, 1)[0]
+        pairs[n, "yes"] = spec(n, g), spec(n, h)
+        for seed in itertools.count():  # the first seeded no-candidate answered "no"
+            _, g, h = filiform_pairs(random.Random(1000 * n + seed), n, 1)[1]
+            if not classify.filiform_isomorphic(spec(n, g), spec(n, h))[0]:
+                pairs[n, "no"] = spec(n, g), spec(n, h)
+                break
+    for n in range(4, 9):
+        rows, rhs = _sylvester_system(classify, *pairs[n, "yes"])
+        out.append(({"op": "solve_diophantine", "algebra": f"Sylvester system of a filiform yes-pair, n={n}",
+                     "dim": n, "rows": len(rows), "cols": len(rows[0]), "system": _digest([rows, rhs])},
+                    lambda rows=rows, rhs=rhs: solve_diophantine(rows, rhs), lambda sol: {"answer": _digest(sol)}))
+    for n in range(3, 9):
+        for kind in ("yes", "no"):
+            s1, s2 = pairs[n, kind]
+            out.append(({"op": "filiform_isomorphic", "algebra": f"filiform {kind}-pair, n={n}", "dim": n,
+                         "pair": _digest([s1.g, s2.g])},
+                        lambda s1=s1, s2=s2: classify.filiform_isomorphic(s1, s2),
+                        lambda res: {"isomorphic": res[0], "answer": _digest(res)}))
+    return out
+
+
+def _header(checkout: Path) -> dict:
+    return {"revision": _revision(checkout), "python": platform.python_version(), "nproc": os.cpu_count(),
+            "cpu_model": _cpu_model()}
 
 
 def _one(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
-    return {
-        "revision": _revision(checkout),
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "cpu_model": _cpu_model(),
-        "repeats": REPEATS,
-        "what": WHAT,
-        "rungs": ladder(),
-    }
+    rows = []
+    for label, call, describe in rungs():
+        res, t = _time(call)
+        rows.append({**label, **describe(res), **t})
+    return {**_header(checkout), "repeats": REPEATS, "what": WHAT, "rungs": rows}
+
+
+def _serve(checkout: Path) -> int:
+    """Child of a merged run: print the header and the rung labels, then time rung i for each line i on stdin."""
+    sys.path.insert(0, str(checkout / "src"))
+    table = rungs()
+    labels = [{**label, **describe(call())} for label, call, describe in table]
+    print(json.dumps({**_header(checkout), "rungs": labels}), flush=True)
+    for line in sys.stdin:
+        call = table[int(line)][1]
+        t0 = time.perf_counter()
+        call()
+        print(1000 * (time.perf_counter() - t0), flush=True)
+    return 0
 
 
 def _merged(parent: Path, change: Path) -> dict:
-    docs: dict[Path, list[dict]] = {parent: [], change: []}
-    for r in range(ROUNDS):
-        for checkout in (parent, change) if r % 2 == 0 else (change, parent):
-            proc = subprocess.run([sys.executable, __file__, str(checkout)], capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise SystemExit(f"ladder failed on {checkout}:\n{proc.stderr}")
-            docs[checkout].append(json.loads(proc.stdout))
-    p, c = docs[parent][0], docs[change][0]
-    if len({len(d["rungs"]) for d in docs[parent] + docs[change]}) != 1:
-        raise SystemExit("the ladders have different rungs")
-    rows = []
-    for i, a in enumerate(p["rungs"]):
-        same = {k: v for k, v in a.items() if k not in ("min_ms", "spread")}
-        for d in docs[parent] + docs[change]:
-            if same != {k: v for k, v in d["rungs"][i].items() if k not in ("min_ms", "spread")}:
-                raise SystemExit(f"rung computed different things: {a} vs {d['rungs'][i]}")
-        pm, cm = ([d["rungs"][i]["min_ms"] for d in docs[side]] for side in (parent, change))
-        rows.append({**same,
-                     "parent_min_ms": min(pm), "parent_spread": round((max(pm) - min(pm)) / min(pm), 3),
-                     "change_min_ms": min(cm), "change_spread": round((max(cm) - min(cm)) / min(cm), 3),
-                     "speedup": round(min(pm) / min(cm), 2)})
+    children = {side: subprocess.Popen([sys.executable, __file__, "--serve", str(side)], stdin=subprocess.PIPE,
+                                       stdout=subprocess.PIPE, text=True, bufsize=1)
+                for side in (parent, change)}
+    try:
+        docs = {side: json.loads(child.stdout.readline() or "null") for side, child in children.items()}
+        if None in docs.values():
+            raise SystemExit("a ladder child failed to start")
+        p, c = docs[parent], docs[change]
+        if p["rungs"] != c["rungs"]:
+            diff = next((a, b) for a, b in zip(p["rungs"], c["rungs"]) if a != b) if len(p["rungs"]) == len(
+                c["rungs"]) else "different rung counts"
+            raise SystemExit(f"the ladders computed different things: {diff}")
+        rows = []
+        for i, label in enumerate(p["rungs"]):
+            samples = {parent: [], change: []}
+            for r in range(SAMPLES):
+                for side in (parent, change) if r % 2 == 0 else (change, parent):
+                    children[side].stdin.write(f"{i}\n")
+                    samples[side].append(float(children[side].stdout.readline()))
+            pm, cm = (statistics.median(samples[side]) for side in (parent, change))
+            rows.append({**label,
+                         "parent_min_ms": round(min(samples[parent]), 4), "parent_median_ms": round(pm, 4),
+                         "change_min_ms": round(min(samples[change]), 4), "change_median_ms": round(cm, 4),
+                         "median_speedup": round(pm / cm, 2),
+                         "change_faster": sum(b < a for a, b in zip(samples[parent], samples[change]))})
+    finally:
+        for child in children.values():
+            child.stdin.close()
+            child.wait(timeout=60)
     return {
         "what": WHAT,
         "command": "python3 tools/ladder.py PARENT CHANGE",
         "parent": p["revision"],
         "change": c["revision"],
         "host": {k: p[k] for k in ("python", "nproc", "cpu_model")},
-        "repeats": REPEATS,
-        "rounds": ROUNDS,
+        "samples": SAMPLES,
         "rungs": rows,
     }
 
@@ -264,6 +336,7 @@ def main() -> int:
     ap.add_argument("checkouts", nargs="*", default=[str(Path(__file__).resolve().parents[1])],
                     help="one checkout, or PARENT CHANGE for a merged comparison")
     ap.add_argument("--spawn", action="store_true", help="time CLI start-up of PARENT CHANGE instead")
+    ap.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)  # child of a merged run
     args = ap.parse_args()
     paths = [Path(c).resolve() for c in args.checkouts]
     if len(paths) > 2:
@@ -274,6 +347,8 @@ def main() -> int:
         if not (path / "src" / "nillat").is_dir():
             print(f"no src/nillat under {path}", file=sys.stderr)
             return 1
+    if args.serve:
+        return _serve(paths[0])
     if args.spawn:
         doc = _spawn_merged(*paths)
     else:

@@ -1,4 +1,4 @@
-"""Exact outputs of the commutative-algebra, Heisenberg and centre paths, on one checkout or a pair.
+"""Exact outputs of the commutative-algebra, Heisenberg, centre and integer-lattice paths, on one checkout or a pair.
 
     python3 tools/outputs.py [CHECKOUT]
     python3 tools/outputs.py PARENT CHANGE
@@ -21,7 +21,14 @@ library answers on a fixed, seeded corpus:
   commands, 5 `filiform` and 3 `symplectic` actions, `moment-map`,
   `units`, `anosov`, `charpoly`) on answered inputs and on malformed
   inputs that exit 2 and 3, run in-process through `cli.main`;
-- the `StructuralError` messages for broken unit and associativity inputs.
+- the `StructuralError` messages for broken unit and associativity inputs;
+- the integer layer on 150 seeded integer matrices of 1-7 rows and columns
+  of varied density: the Smith divisors with both transforms,
+  `solve_diophantine` on a solvable and on a drawn right-hand side,
+  `integer_kernel_basis`, `hermite_row_basis` and `quotient_invariants` of
+  a seeded sublattice; and `filiform_isomorphic` (answer and witness) with
+  `central_quotients` of both specs on 6 seeded conjugated yes-pairs and 6
+  one-entry no-candidates for each n = 3..8.
 
 With two checkouts, runs each in its own process and exits 0 if the two
 documents are equal, otherwise prints the first differing entry and
@@ -322,12 +329,66 @@ def _error_section() -> list[str]:
     return out
 
 
+def filiform_pairs(rng: random.Random, n: int, count: int) -> list[tuple[str, list, list]]:
+    """`count` conjugated yes-pairs and `count` no-candidates (one deep entry moved) of size n."""
+    pairs = []
+    for kind in ("yes", "no-candidate"):
+        for _ in range(count):
+            g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            for i in range(1, n):
+                g[i][i - 1] = rng.choice((1, -1)) * rng.randint(1, 9)
+                for j in range(i - 1):
+                    g[i][j] = rng.randint(-20, 20)
+            h = [row[:] for row in g]
+            if kind == "no-candidate":
+                i = rng.randint(2, n - 1)
+                h[i][rng.randint(0, i - 2)] += rng.choice((1, -1)) * rng.randint(1, 3)
+            else:
+                for _ in range(2 * n):  # h <- (I - q E_ij) h (I + q E_ij), i > j
+                    i = rng.randint(1, n - 1)
+                    j, q = rng.randint(0, i - 1), rng.randint(-3, 3)
+                    for row in h:
+                        row[j] += q * row[i]
+                    h[i] = [x - q * y for x, y in zip(h[i], h[j])]
+                signs = [rng.choice((1, -1)) for _ in range(n)]
+                h = [[signs[i] * signs[j] * h[i][j] for j in range(n)] for i in range(n)]
+            pairs.append((kind, g, h))
+    return pairs
+
+
+def _intlattice_section() -> list[dict]:
+    from nillat import classify, intlattice
+
+    rng = random.Random(17)
+    out = []
+    for _ in range(150):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        density, span = rng.choice((0.2, 0.5, 1.0)), rng.choice((1, 3, 9, 40))
+        m = [[rng.randint(-span, span) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+        x0 = [rng.randint(-3, 3) for _ in range(cols)]
+        solvable = [sum(a * x for a, x in zip(row, x0)) for row in m]
+        drawn = [rng.randint(-span, span) for _ in range(rows)]
+        coeffs = [[rng.randint(-2, 2) for _ in range(rows)] for _ in range(rng.randint(1, 4))]
+        sub = [[sum(k * row[c] for k, row in zip(ks, m)) for c in range(cols)] for ks in coeffs]
+        snf = intlattice.smith_normal_form(m)
+        out.append({"matrix": m, "snf": [snf.divisors, snf.left, snf.right],
+                    "solve": [intlattice.solve_diophantine(m, solvable), intlattice.solve_diophantine(m, drawn)],
+                    "kernel": intlattice.integer_kernel_basis(m), "hermite": intlattice.hermite_row_basis(m),
+                    "quotient": intlattice.quotient_invariants(m, sub)})
+    for n in range(3, 9):
+        for kind, g, h in filiform_pairs(rng, n, 6):
+            s1, s2 = classify.FiliformLatticeSpec(n, g), classify.FiliformLatticeSpec(n, h)
+            out.append({"filiform": kind, "g": g, "h": h, "isomorphic": list(classify.filiform_isomorphic(s1, s2)),
+                        "central_quotients": [classify.central_quotients(s1), classify.central_quotients(s2)]})
+    return out
+
+
 def _one(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     import nillat
 
     return {"commalg": _commalg_section(), "lie": _lie_section(),
-            "cli": _cli_section(), "errors": _error_section()}
+            "cli": _cli_section(), "errors": _error_section(), "intlattice": _intlattice_section()}
 
 
 def _compare(parent: Path, change: Path) -> int:
