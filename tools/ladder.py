@@ -30,15 +30,17 @@ socle dimensions, or a digest of the system and of the answer) is reported
 beside each rung, so two ladders can be checked to have computed the same
 thing.
 
-With two checkouts, starts one long-lived child process per checkout, each
-of which imports its own `nillat`, builds every rung and runs it once
-untimed.  Then, rung by rung, parent and change take one timed sample each,
-alternating which goes first, until each side has SAMPLES samples, so a
-change of the host's speed hits both sides alike.  The merged document has
-one row per rung: `parent_min_ms`, `parent_median_ms`, `change_min_ms`,
-`change_median_ms`, the speedup parent median / change median, and
-`change_faster`, the number of the SAMPLES sample pairs in which the change
-was faster.
+With two checkouts, runs ROUNDS rounds.  Each round starts one child
+process per checkout, each of which imports its own `nillat`, builds every
+rung and runs it once untimed.  Then, rung by rung, parent and change take
+one timed sample each, alternating which goes first, until each side has
+SAMPLES samples, so a change of the host's speed hits both sides alike; a
+fresh pair of children per round spreads whatever one process's memory
+layout does to a rung over three processes per side.  The merged document
+has one row per rung, over all rounds: `parent_min_ms`, `parent_median_ms`,
+`change_min_ms`, `change_median_ms`, the speedup parent median / change
+median, and `change_faster`, the number of the ROUNDS x SAMPLES sample
+pairs in which the change was faster.
 
 With `--spawn` and two checkouts, times CLI start-up instead: one rung per
 `python -m nillat.cli <argv>` request kind of the benchmark's cli workload
@@ -77,7 +79,8 @@ from pathlib import Path
 from outputs import filiform_pairs
 
 REPEATS = 5
-SAMPLES = 11
+ROUNDS = 3
+SAMPLES = 7
 SPAWN_REPEATS = 21
 WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, and H_2(Q[x]/x^j), "
         "j=2..6; hk_degeneracy_check(Q[x]/x^j, 2), j=2..6; Matrix.kernel_basis on the stacked Z^2 rows "
@@ -161,9 +164,8 @@ def rungs() -> list[tuple[dict, object, object]]:
     for j in range(2, 13):
         out.append(({"op": "truncated_polynomials", "algebra": f"Q[x]/x^{j}"},
                     lambda j=j: truncated_polynomials(j), lambda A: {"dim": A.dim}))
-    pairs = {}
+    pairs, spec = {}, classify.FiliformLatticeSpec
     for n in range(3, 9):
-        spec = classify.FiliformLatticeSpec
         _, g, h = filiform_pairs(random.Random(n), n, 1)[0]
         pairs[n, "yes"] = spec(n, g), spec(n, h)
         for seed in itertools.count():  # the first seeded no-candidate answered "no"
@@ -214,43 +216,55 @@ def _serve(checkout: Path) -> int:
     return 0
 
 
-def _merged(parent: Path, change: Path) -> dict:
+def _round(parent: Path, change: Path) -> tuple[dict, dict, list[dict]]:
+    """A fresh child per checkout; SAMPLES alternating samples per side of every rung."""
     children = {side: subprocess.Popen([sys.executable, __file__, "--serve", str(side)], stdin=subprocess.PIPE,
                                        stdout=subprocess.PIPE, text=True, bufsize=1)
                 for side in (parent, change)}
     try:
-        docs = {side: json.loads(child.stdout.readline() or "null") for side, child in children.items()}
-        if None in docs.values():
+        p, c = (json.loads(children[side].stdout.readline() or "null") for side in (parent, change))
+        if p is None or c is None:
             raise SystemExit("a ladder child failed to start")
-        p, c = docs[parent], docs[change]
         if p["rungs"] != c["rungs"]:
             diff = next((a, b) for a, b in zip(p["rungs"], c["rungs"]) if a != b) if len(p["rungs"]) == len(
                 c["rungs"]) else "different rung counts"
             raise SystemExit(f"the ladders computed different things: {diff}")
-        rows = []
-        for i, label in enumerate(p["rungs"]):
-            samples = {parent: [], change: []}
+        samples = []
+        for i in range(len(p["rungs"])):
+            rung = {parent: [], change: []}
             for r in range(SAMPLES):
                 for side in (parent, change) if r % 2 == 0 else (change, parent):
                     children[side].stdin.write(f"{i}\n")
-                    samples[side].append(float(children[side].stdout.readline()))
-            pm, cm = (statistics.median(samples[side]) for side in (parent, change))
-            rows.append({**label,
-                         "parent_min_ms": round(min(samples[parent]), 4), "parent_median_ms": round(pm, 4),
-                         "change_min_ms": round(min(samples[change]), 4), "change_median_ms": round(cm, 4),
-                         "median_speedup": round(pm / cm, 2),
-                         "change_faster": sum(b < a for a, b in zip(samples[parent], samples[change]))})
+                    rung[side].append(float(children[side].stdout.readline()))
+            samples.append(rung)
     finally:
         for child in children.values():
             child.stdin.close()
             child.wait(timeout=60)
+    return p, c, samples
+
+
+def _merged(parent: Path, change: Path) -> dict:
+    rounds = [_round(parent, change) for _ in range(ROUNDS)]
+    p, c, _ = rounds[0]
+    if any(other["rungs"] != p["rungs"] for other, _, _ in rounds):
+        raise SystemExit("the rounds computed different things")
+    rows = []
+    for i, label in enumerate(p["rungs"]):
+        ps, cs = ([x for _, _, samples in rounds for x in samples[i][side]] for side in (parent, change))
+        pm, cm = statistics.median(ps), statistics.median(cs)
+        rows.append({**label,
+                     "parent_min_ms": round(min(ps), 4), "parent_median_ms": round(pm, 4),
+                     "change_min_ms": round(min(cs), 4), "change_median_ms": round(cm, 4),
+                     "median_speedup": round(pm / cm, 2), "change_faster": sum(b < a for a, b in zip(ps, cs))})
     return {
         "what": WHAT,
         "command": "python3 tools/ladder.py PARENT CHANGE",
         "parent": p["revision"],
         "change": c["revision"],
         "host": {k: p[k] for k in ("python", "nproc", "cpu_model")},
-        "samples": SAMPLES,
+        "rounds": ROUNDS,
+        "samples_per_round": SAMPLES,
         "rungs": rows,
     }
 
