@@ -12,14 +12,14 @@ from typing import Sequence
 
 from . import unipoly
 from .errors import InputError, PreconditionError, StructuralError
-from .intlattice import det_int
+from .intlattice import _ints, det_int
 from .matrix import Matrix
 
 # -- characteristic polynomial machinery ----------------------------------------------
 
 
 def _check_3x3(b: Sequence[Sequence[int]]) -> list[list[int]]:
-    rows = [[int(x) for x in row] for row in b]
+    rows = [_ints(row) for row in b]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise InputError("need a 3x3 integer matrix")
     return rows
@@ -212,7 +212,7 @@ def gamma111_automorphism(
     ys = []
     for j in range(3):
         coords = [0] * 6
-        coords[0:3] = [int(zc[j][t]) for t in range(3)]
+        coords[0:3] = _ints(zc[j])
         coords[3:6] = [rows[i][j] for i in range(3)]
         ys.append(element(model, coords))
 

@@ -182,20 +182,6 @@ def _validate_six_dim(L: LieAlgebra) -> tuple[list, list]:
     return center, derived
 
 
-def _brackets_in_basis(L: LieAlgebra, basis_cols: Matrix) -> dict[tuple[int, int], dict[int, Fraction]]:
-    inv = basis_cols.inverse()
-    n = L.dim
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = L.bracket(basis_cols.column(i), basis_cols.column(j))
-            coords = inv.apply(br)
-            comp = {k: c for k, c in enumerate(coords) if c != 0}
-            if comp:
-                table[(i, j)] = comp
-    return table
-
-
 def classify_six_dim(L: LieAlgebra, complement: Sequence[Sequence] | None = None) -> SixDimClassification:
     """Classify a 6-dim 2-step algebra with 2-dim center = derived ideal.
 
@@ -210,19 +196,10 @@ def classify_six_dim(L: LieAlgebra, complement: Sequence[Sequence] | None = None
         comp = [list(map(Q, v)) for v in complement]
         if len(comp) != 4 or span_dim(list(center) + comp) != 6:
             raise InputError("complement must be 4 vectors independent of the center")
-    v_cols = Matrix.from_columns(comp + [z1, z2])
-
-    # brackets of the complement, expressed in the center basis
-    cmat = Matrix.from_columns([z1, z2])
-    eta1: dict[tuple[int, int], Fraction] = {}
-    eta2: dict[tuple[int, int], Fraction] = {}
-    for (p, q) in _PAIRS4:
-        br = L.bracket(comp[p], comp[q])
-        c1, c2 = cmat.solve(br)
-        if c1 != 0:
-            eta1[(p, q)] = c1
-        if c2 != 0:
-            eta2[(p, q)] = c2
+    # brackets of the complement, expressed in the center basis: slots 4 and 5
+    table = L.in_basis(Matrix.from_columns(comp + [z1, z2]))
+    eta1 = {pq: comp_[4] for pq, comp_ in table.items() if 4 in comp_}
+    eta2 = {pq: comp_[5] for pq, comp_ in table.items() if 5 in comp_}
 
     a = _pf(eta1)
     c = _pf(eta2)
@@ -291,7 +268,7 @@ def classify_six_dim(L: LieAlgebra, complement: Sequence[Sequence] | None = None
     ]
     witness = Matrix.from_columns(new_v + new_z)
 
-    got = _brackets_in_basis(L, witness)
+    got = L.in_basis(witness)
     want = {
         k: {kk: Q(vv) for kk, vv in comp_.items()}
         for k, comp_ in normal_form_table(family, d).items()
@@ -432,7 +409,7 @@ class FiliformLatticeSpec:
     g: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, g: Sequence[Sequence[int]]):
-        rows = tuple(tuple(parse_int(x, "action matrix entry") for x in row) for row in g)
+        rows = tuple(tuple(x if type(x) is int else parse_int(x, "action matrix entry") for x in row) for row in g)
         if n < 2 or len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("action matrix must be n x n with n >= 2")
         for i in range(n):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .intlattice import mat_identity, mat_mul
+from .intlattice import _ints, mat_identity, mat_mul
 from .matrix import Matrix, Q, nilpotent_log, nilpotency_index, _frac
 
 
@@ -189,7 +189,7 @@ class Filiform(GroupModel):
     def __init__(self, n: int, g: Sequence[Sequence[int]]):
         if n < 2:
             raise InputError("need n >= 2")
-        rows = [[int(x) for x in row] for row in g]
+        rows = [_ints(row) for row in g]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("action matrix must be n x n")
         for i in range(n):
@@ -401,7 +401,7 @@ def standard_filiform_action(n: int) -> list[list[int]]:
 
 def filiform_action_power(g: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """Exact integer power g^p of a unitriangular matrix (negative p via inverse)."""
-    rows = [[int(x) for x in row] for row in g]
+    rows = [_ints(row) for row in g]
     n = len(rows)
     for i in range(n):
         if len(rows[i]) != n or rows[i][i] != 1 or any(rows[i][j] != 0 for j in range(i + 1, n)):

@@ -9,12 +9,11 @@ equality and quotient invariants exact set computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .errors import InputError, PreconditionError
-from .matrix import Matrix, parse_int
+from .matrix import parse_int
 
 IntRows = list[list[int]]
 
@@ -222,17 +221,20 @@ def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> IntRows:
 
 def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     """Membership of an integer vector in the row lattice given by `basis`."""
-    v = _ints(vec)
-    if not basis:
-        return not any(v)
-    cols = len(basis[0])
+    return _coordinates(basis, _ints(vec)) is not None
+
+
+def _coordinates(basis: Sequence[Sequence[int]], v: list[int]) -> list[int] | None:
+    """Integer coordinates of v in an echelon row basis, or None when v is not in its lattice."""
+    coords = []
     for b in basis:
-        j = next(c for c in range(cols) if b[c] != 0)
+        j = next(c for c, x in enumerate(b) if x != 0)
         if v[j] % b[j] != 0:
-            return False
+            return None
         q = v[j] // b[j]
+        coords.append(q)
         v = [x - q * y for x, y in zip(v, b)]
-    return all(x == 0 for x in v)
+    return None if any(v) else coords
 
 
 def integer_kernel_basis(m: Sequence[Sequence[int]]) -> IntRows:
@@ -283,22 +285,12 @@ def quotient_invariants(ambient: Sequence[Sequence[int]], sub: Sequence[Sequence
     A zero divisor encodes an infinite cyclic factor.  Requires sub <= ambient.
     """
     amb = hermite_row_basis(ambient)
-    s = hermite_row_basis(sub)
-    if not amb:
-        if s:
-            raise InputError("sub-lattice is not contained in the ambient lattice")
-        return []
-    for v in s:
-        if not lattice_contains(amb, v):
-            raise InputError("sub-lattice is not contained in the ambient lattice")
-    # coordinates of sub generators in the ambient basis (exact integer solve)
-    amb_t = Matrix([[Fraction(x) for x in row] for row in amb]).transpose()
     coords = []
-    for v in s:
-        sol = amb_t.solve(v)
-        if any(c.denominator != 1 for c in sol):
+    for v in hermite_row_basis(sub):
+        c = _coordinates(amb, v)
+        if c is None:
             raise InputError("sub-lattice is not contained in the ambient lattice")
-        coords.append([int(c) for c in sol])
+        coords.append(c)
     r = len(amb)
     if not coords:
         return [0] * r

@@ -10,7 +10,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError, StructuralError
-from .matrix import Matrix, Q, in_span, rref_basis, span_dim, sparse_kernel_basis, _frac, _unit
+from .matrix import (
+    Matrix, Q, in_span, rref_basis, span_dim, sparse_kernel_basis, _frac, _reduced_rows, _subtract, _unit,
+)
 
 
 class LieAlgebra:
@@ -77,6 +79,30 @@ class LieAlgebra:
                 m[k][i] -= xv[j] * c
         return Matrix(m)
 
+    def in_basis(self, cols: Matrix) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The bracket table in the basis formed by the columns of `cols`.
+
+        Entry (i, j), i < j, holds the nonzero coordinates of [c_i, c_j] in
+        that basis: one inverse of `cols`, applied to the nonzero
+        coordinates of each bracket only.
+        """
+        if cols.rows != self.dim or cols.cols != self.dim:
+            raise InputError("basis matrix must be dim x dim")
+        inv = cols.inverse().data
+        vecs = cols.transpose().data
+        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                br = [(m, c) for m, c in enumerate(self.bracket(vecs[i], vecs[j])) if c]
+                comp = {}
+                for k, row in enumerate(inv):
+                    c = sum(row[m] * b for m, b in br)
+                    if c:
+                        comp[k] = c
+                if comp:
+                    table[(i, j)] = comp
+        return table
+
     # -- validation ----------------------------------------------------------
 
     def cyclic_terms(self) -> dict[tuple[int, int, int], dict[tuple[int, int], Fraction]]:
@@ -135,13 +161,28 @@ class LieAlgebra:
         return rref_basis(vecs)
 
     def center_basis(self) -> list[list[Fraction]]:
-        # x central iff the coefficient of e_k in [x, e_j] = sum_i x_i [e_i, e_j] is 0 for all (j, k)
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        return self._center_modulo([])
+
+    def _center_modulo(self, cur: Sequence[Sequence]) -> list[list[Fraction]]:
+        """{x : [x, e_j] in span(cur) for all j}: the centre of L modulo span(cur)."""
+        # rows[j][k] is the coefficient of e_k in [x, e_j] = sum_i x_i [e_i, e_j]
+        rows: dict[int, dict[int, dict[int, Fraction]]] = {}
         for (i, j), comp in self.brackets.items():
             for k, c in comp.items():
-                rows.setdefault((j, k), {})[i] = c
-                rows.setdefault((i, k), {})[j] = -c
-        return sparse_kernel_basis([rows[jk] for jk in sorted(rows)], self.dim)
+                rows.setdefault(j, {}).setdefault(k, {})[i] = c
+                rows.setdefault(i, {}).setdefault(k, {})[j] = -c
+        # v mod span(cur) is v - sum_p v_p R_p over the reduced pivot rows R_p:
+        # coordinate k of it is v_k - sum_p R_p[k] v_p, and 0 on the pivots
+        pivots = _reduced_rows({c: x for c, x in enumerate(v) if x} for v in cur)
+        reduced = []
+        for by_k in rows.values():
+            out = {k: dict(row) for k, row in by_k.items() if k not in pivots}
+            for p in pivots.keys() & by_k.keys():
+                for k, r in pivots[p].items():
+                    if k != p:
+                        _subtract(out.setdefault(k, {}), r, by_k[p])
+            reduced.extend(out.values())
+        return sparse_kernel_basis(reduced, self.dim)
 
     def centralizer_basis(self, subspace: Sequence[Sequence]) -> list[list[Fraction]]:
         """{x : [x, s] = 0 for all s in subspace}."""
@@ -176,32 +217,10 @@ class LieAlgebra:
         """C_1 = Z(L), C_{r+1}/C_r = Z(L/C_r); stops when stable."""
         series = [rref_basis(self.center_basis())]
         while True:
-            cur = series[-1]
-            nxt = self._next_center(cur)
-            if span_dim(nxt) == span_dim(cur):
-                break
+            nxt = rref_basis(self._center_modulo(series[-1]))
+            if len(nxt) == len(series[-1]):
+                return series
             series.append(nxt)
-        return series
-
-    def _next_center(self, cur: Sequence[Sequence]) -> list[list[Fraction]]:
-        # {x : [x, e_j] in span(cur) for all j}: linear conditions modulo cur
-        if not cur:
-            return rref_basis(self.center_basis())
-        R, pivots = Matrix(list(cur)).rref()
-        # T v = v reduced modulo span(cur); v in span iff T v = 0
-        T = Matrix.identity(self.dim).copy_data()
-        for r, pc in enumerate(pivots):
-            for i in range(self.dim):
-                T[i][pc] = Q(0)
-            for i in range(self.dim):
-                if i != pc:
-                    # subtracting v[pc] * R_r moves mass off the pivot coordinate
-                    T[i][pc] = -R.data[r][i]
-        Tm = Matrix(T)
-        # x -> [x, e_j] = -ad(e_j) x, reduced mod cur
-        rows = [dict(enumerate(row))
-                for j in range(self.dim) for row in (Tm * self.ad(_unit(self.dim, j))).data]
-        return rref_basis(sparse_kernel_basis(rows, self.dim))
 
     def nilpotency_class(self) -> int:
         series = self.descending_central_series()

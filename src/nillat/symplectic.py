@@ -422,12 +422,8 @@ def double_theta_check(algebra: LieAlgebra, r: Matrix) -> DoubleStructures:
     for x_idx in range(n):
         theta_cols.append(_unit(2 * n, n + x_idx))
     theta = Matrix.from_columns(theta_cols)
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            lhs = theta.apply(double.basis_bracket(i, j))
-            rhs = semi.bracket(theta.column(i), theta.column(j))
-            if lhs != rhs:
-                raise StructuralError("theta is not a Lie algebra isomorphism")
+    if semi.in_basis(theta) != double.brackets:
+        raise StructuralError("theta is not a Lie algebra isomorphism")
     return DoubleStructures(double, semi, theta)
 
 
@@ -454,14 +450,6 @@ def rational_structure_for_double(
     for j in range(n):
         big_cols.append([Q(0)] * n + B.column(j))
     P = Matrix.from_columns(big_cols)
-    Pinv = P.inverse()
-    table = {}
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            br = semi.bracket(P.column(i), P.column(j))
-            comp = {k: c for k, c in enumerate(Pinv.apply(br)) if c != 0}
-            if comp:
-                table[(i, j)] = comp
-    out = LieAlgebra(2 * n, table)
+    out = LieAlgebra(2 * n, semi.in_basis(P))
     out.validate()
     return P, out

@@ -3,11 +3,12 @@
 These deliberately avoid the library's own linear algebra: plain-list
 Gaussian elimination and direct definitional evaluation, so a bug in the
 production path cannot hide inside its own verification.  The exceptions are
-the last four sections, which keep the dense cocycle-space solve and form
+the last five sections, which keep the dense cocycle-space solve and form
 read, the dense commutative-algebra products, trace form and socle, the
-filiform decision path as it was before it became integer-only, and the
+filiform decision path as it was before it became integer-only, the
 Smith normal form and Sylvester rows as they were before they skipped zero
-entries, to compare the new paths' outputs against.
+entries, and the dense central-series step and change of basis of the
+structure constants, to compare the new paths' outputs against.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from nillat.classify import FiliformLatticeSpec, _sylvester_solve_unitriangular,
 from nillat.cocycles import AlternatingForm, _pair_index
 from nillat.errors import InputError, PreconditionError, StructuralError
 from nillat.intlattice import IntRows, SnfResult, mat_identity, mat_mul, xgcd
-from nillat.matrix import Matrix
+from nillat.matrix import Matrix, rref_basis, span_dim
 from nillat.quadratic import RingElement, ring_of_integers
 
 Q = Fraction
@@ -670,3 +671,57 @@ def dense_sylvester_system(g1, g2) -> tuple[IntRows, list[int]]:
                 rows.append(row)
                 rhs.append(target)
     return rows, rhs
+
+
+# -- the dense central-series step and change of basis --------------------------------
+#
+# Copies of the library code before both read the sparse structure constants:
+# a dense reduction matrix times ad(e_j) for every j, and one dense bracket and
+# one dense inverse application per basis pair.
+
+
+def _dense_next_center(algebra, cur):
+    # {x : [x, e_j] in span(cur) for all j}: linear conditions modulo cur
+    if not cur:
+        return rref_basis(dense_center_basis(algebra))
+    R, pivots = Matrix(list(cur)).rref()
+    # T v = v reduced modulo span(cur); v in span iff T v = 0
+    T = Matrix.identity(algebra.dim).copy_data()
+    for r, pc in enumerate(pivots):
+        for i in range(algebra.dim):
+            T[i][pc] = Q(0)
+        for i in range(algebra.dim):
+            if i != pc:
+                # subtracting v[pc] * R_r moves mass off the pivot coordinate
+                T[i][pc] = -R.data[r][i]
+    Tm = Matrix(T)
+    # x -> [x, e_j] = -ad(e_j) x, reduced mod cur; the sign does not change the kernel
+    rows = [row for j in range(algebra.dim) for row in (Tm * Matrix(dense_ad(algebra, _unit(algebra.dim, j)))).data]
+    return rref_basis(dense_kernel_basis(rows, algebra.dim))
+
+
+def dense_ascending_central_series(algebra):
+    """C_1 = Z(L), C_{r+1}/C_r = Z(L/C_r); stops when stable."""
+    series = [_dense_next_center(algebra, [])]
+    while True:
+        cur = series[-1]
+        nxt = _dense_next_center(algebra, cur)
+        if span_dim(nxt) == span_dim(cur):
+            break
+        series.append(nxt)
+    return series
+
+
+def dense_in_basis(algebra, basis_cols):
+    """{(i, j): {k: c}}, i < j: the brackets of the columns of basis_cols in that basis."""
+    inv = basis_cols.inverse()
+    n = algebra.dim
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = algebra.bracket(basis_cols.column(i), basis_cols.column(j))
+            coords = inv.apply(br)
+            comp = {k: c for k, c in enumerate(coords) if c != 0}
+            if comp:
+                table[(i, j)] = comp
+    return table

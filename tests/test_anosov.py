@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -191,6 +192,20 @@ def test_gamma111_with_central_shift():
 def test_gamma111_rejects_non_unimodular():
     with pytest.raises(PreconditionError):
         gamma111_automorphism([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_non_integer_matrix_entry_rejected_not_truncated():
+    # int() would read 1/2 as 0, the Anosov example matrix
+    with pytest.raises(InputError, match="not an integer"):
+        is_anosov([[1, 5, 2], [2, -1, -1], [3, 2, Fraction(1, 2)]])
+    with pytest.raises(InputError, match="not an integer"):
+        char_poly_pair([[1, 5, 2.7], [2, -1, -1], [3, 2, 0]])
+    assert char_poly_pair([[1, 5, Fraction(2)], [2, -1, -1], [3, 2, 0.0]]) == char_poly_pair(EXAMPLE_MATRIX)
+
+
+def test_gamma111_non_integer_central_entry_rejected():
+    with pytest.raises(InputError, match="not an integer"):
+        gamma111_automorphism(mat_identity(3), central=[[1, 2, Fraction(7, 2)], [0, 1, 0], [-1, 0, 0]])
 
 
 def test_filiform_aut_identity():

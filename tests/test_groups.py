@@ -186,6 +186,18 @@ def test_filiform_action_power_inverse():
     assert mat_mul(filiform_action_power(g, -1), g) == mat_identity(3)
 
 
+def test_filiform_action_power_rejects_non_integer_entry():
+    with pytest.raises(InputError, match="not an integer"):
+        filiform_action_power([[1, 0, 0], [F(13, 2), 1, 0], [1, 9, 1]], 2)
+
+
+def test_filiform_model_rejects_non_integer_entry():
+    # int() would read 13/2 as 6
+    with pytest.raises(InputError, match="not an integer"):
+        Filiform(3, [[1, 0, 0], [F(13, 2), 1, 0], [1, 9, 1]])
+    assert Filiform(3, [[1, 0, 0], [F(6), 1, 0], [1, 9.0, 1]]).g[1][0] == 6
+
+
 def test_filiform_model_rejects_degenerate():
     with pytest.raises(PreconditionError):
         Filiform(3, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])

@@ -137,3 +137,7 @@ def test_quotient_invariants():
     assert quotient_invariants(mat_identity(3), [[2, 0, 0], [0, 2, 0], [0, 0, 6]]) == [2, 2, 6]
     with pytest.raises(InputError):
         quotient_invariants([[2, 0], [0, 2]], [[1, 0], [0, 1]])
+    assert quotient_invariants([[0, 0]], []) == []
+    assert quotient_invariants([[2, 4, 0]], [[0, 0, 0]]) == [0]
+    with pytest.raises(InputError):
+        quotient_invariants([[0, 0]], [[1, 0]])

@@ -5,11 +5,15 @@ the oracles in `helpers` evaluate the same identities on unit vectors for
 every basis triple.  Bracket tables are drawn at random, most of them not
 Lie; 2-step tables satisfy Jacobi by construction.  `ad` and `center_basis`,
 which read the stored brackets, are compared with the dense bracket on unit
-vectors.  The sparse elimination, the cocycle-space solve built on it, the
-reads of a form's sparse upper entries (`flat`, evaluation, nondegeneracy,
-sums and multiples) and the commutative-algebra products, validation, trace
-form and socle are compared with plain-list elimination, with dense matrix
-arithmetic and with dense copies of the earlier code.  So are the Smith
+vectors.  The ascending central series, one sparse centre modulo each
+term, is compared with the dense reduction-matrix step it replaced, and
+the change of basis `in_basis` with a dense bracket and inverse per pair
+on seeded invertible integer bases.  The sparse elimination, the
+cocycle-space solve built on it, the reads of a form's sparse upper
+entries (`flat`, evaluation, nondegeneracy, sums and multiples) and the
+commutative-algebra products, validation, trace form and socle are
+compared with plain-list elimination, with dense matrix arithmetic and
+with dense copies of the earlier code.  So are the Smith
 normal form with its sparse row and column updates, and the Sylvester rows
 of the filiform isomorphism test.
 """
@@ -25,10 +29,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     brute_force_cocycle_dim,
     dense_ad,
+    dense_ascending_central_series,
     dense_center_basis,
     dense_cocycle_space,
     dense_cybe_check,
     dense_flat,
+    dense_in_basis,
     dense_is_cocycle,
     dense_jacobi_violations,
     dense_kernel_basis,
@@ -47,7 +53,7 @@ from nillat.commalg import CommAlgebra, frobenius_quadratic_algebra, monomial_qu
 from nillat.errors import InputError, StructuralError
 from nillat.heisenberg import heisenberg_over
 from nillat.intlattice import integer_kernel_basis, mat_identity, mat_mul, smith_normal_form, solve_diophantine
-from nillat.liealg import LieAlgebra
+from nillat.liealg import LieAlgebra, filiform_algebra
 from nillat.matrix import Matrix, sparse_kernel_basis
 from nillat.symplectic import cybe_check
 
@@ -189,6 +195,24 @@ def test_cocycle_space_matches_dense_solve(L):
     dense_z2, dense_b2 = dense_cocycle_space(L)
     assert [f.matrix.data for f in z2] == [f.matrix.data for f in dense_z2]
     assert [f.matrix.data for f in b2] == [f.matrix.data for f in dense_b2]
+
+
+def _invertible_int_matrix(n, seed):
+    rng = random.Random(seed)
+    while True:
+        m = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if m.det() != 0:
+            return m
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(two_step_algebras(max_dim=10), monomial_heisenbergs(), st.builds(filiform_algebra, st.integers(2, 9))),
+       st.integers(0, 2 ** 32))
+def test_central_series_and_basis_change_match_dense_oracles(L, seed):
+    assert L.ascending_central_series() == dense_ascending_central_series(L)
+    assert L.in_basis(Matrix.identity(L.dim)) == L.brackets
+    cols = _invertible_int_matrix(L.dim, seed)
+    assert L.in_basis(cols) == dense_in_basis(L, cols)
 
 
 @settings(max_examples=150, deadline=None)

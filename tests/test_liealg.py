@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nillat.errors import InputError
+from nillat.errors import InputError, PreconditionError
 from nillat.liealg import (
     LieAlgebra,
     abelian_algebra,
@@ -15,7 +15,7 @@ from nillat.liealg import (
     six_dim_quadratic_structure,
     validate_lie,
 )
-from nillat.matrix import rref_basis, span_dim, span_equal
+from nillat.matrix import Matrix, rref_basis, span_dim, span_equal
 
 
 def test_validate_heisenberg():
@@ -95,3 +95,14 @@ def test_h1_dual_structure_table():
     L = h1_dual_structure()
     assert validate_lie(L)["ok"]
     assert span_dim(L.derived_basis()) == 2
+
+
+def test_in_basis_scaled_and_swapped_heisenberg():
+    # columns 2 e_1, f_1, g: [2 e_1, f_1] = 2 g; swapping e_1 and f_1 flips the sign
+    L = heisenberg_algebra(1)
+    assert L.in_basis(Matrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])) == {(0, 1): {2: 2}}
+    assert L.in_basis(Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])) == {(0, 1): {2: -1}}
+    with pytest.raises(InputError):
+        L.in_basis(Matrix([[1, 0], [0, 1]]))
+    with pytest.raises(PreconditionError):
+        L.in_basis(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))

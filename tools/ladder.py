@@ -1,4 +1,4 @@
-"""Layer ladder for the cocycle-space solve, the socle computation and the filiform integer layer.
+"""Layer ladder for the cocycle-space solve, the socle computation, the filiform integer layer and the Lie kernels.
 
     python3 tools/ladder.py [CHECKOUT]
     python3 tools/ladder.py PARENT CHANGE > BENCH_filiform.json
@@ -23,12 +23,17 @@ of the wall time in ms:
   solves for a fixed seeded conjugated pair, n = 4..8;
 - `filiform_isomorphic` on a fixed seeded conjugated pair ("yes") and on a
   fixed seeded one-entry change of a lattice that it answers "no" for,
-  n = 3..8 (seeded as in `tools/outputs.py`).
+  n = 3..8 (seeded as in `tools/outputs.py`);
+- `LieAlgebra.ascending_central_series` on `filiform_algebra(n)`,
+  n = 3..12 (dim 4..13): one centre modulo a subspace per term;
+- `classify_six_dim` on `six_dim_quadratic_structure(d)`, d = -5, -2, -1,
+  2, 3, 5, 7, each with a fixed seeded complement of its centre: two
+  changes of basis of the structure constants per call.
 
 dim Z^2 (or the certificate kind, the kernel dimension, the radical and
-socle dimensions, or a digest of the system and of the answer) is reported
-beside each rung, so two ladders can be checked to have computed the same
-thing.
+socle dimensions, the series dimensions, or a digest of the system and of
+the answer) is reported beside each rung, so two ladders can be checked to
+have computed the same thing.
 
 With two checkouts, runs ROUNDS rounds.  Each round starts one child
 process per checkout, each of which imports its own `nillat`, builds every
@@ -76,7 +81,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from outputs import filiform_pairs
+from outputs import filiform_pairs, six_dim_complement
 
 REPEATS = 5
 ROUNDS = 3
@@ -87,7 +92,9 @@ WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, 
         "of H_1(Q[x]/x^j), j=2..8; of the socle computation: radical_and_socle(Q[x]/x^j) and the "
         "construction truncated_polynomials(j), j=2..12; and of the filiform integer layer: "
         "solve_diophantine on the Sylvester system of a seeded conjugated pair, n=4..8, and "
-        "filiform_isomorphic on a seeded yes-pair and no-pair, n=3..8; wall time in ms")
+        "filiform_isomorphic on a seeded yes-pair and no-pair, n=3..8; of the Lie kernels: "
+        "ascending_central_series of filiform_algebra(n), n=3..12, and classify_six_dim of "
+        "six_dim_quadratic_structure(d) with a seeded complement, d=-5,-2,-1,2,3,5,7; wall time in ms")
 
 
 def _time(fn):
@@ -141,6 +148,7 @@ def rungs() -> list[tuple[dict, object, object]]:
     from nillat.commalg import radical_and_socle, truncated_polynomials
     from nillat.heisenberg import heisenberg_over, hk_degeneracy_check
     from nillat.intlattice import solve_diophantine
+    from nillat.liealg import filiform_algebra, six_dim_quadratic_structure
     from nillat.matrix import Matrix
 
     out = []
@@ -185,6 +193,17 @@ def rungs() -> list[tuple[dict, object, object]]:
                          "pair": _digest([s1.g, s2.g])},
                         lambda s1=s1, s2=s2: classify.filiform_isomorphic(s1, s2),
                         lambda res: {"isomorphic": res[0], "answer": _digest(res)}))
+    for n in range(3, 13):
+        L = filiform_algebra(n)
+        out.append(({"op": "LieAlgebra.ascending_central_series", "algebra": f"filiform_algebra({n})", "dim": L.dim},
+                    L.ascending_central_series, lambda series: {"dims": [len(b) for b in series]}))
+    for d in (-5, -2, -1, 2, 3, 5, 7):
+        L, comp = six_dim_quadratic_structure(d), six_dim_complement(random.Random(100 + d))
+        out.append(({"op": "classify_six_dim", "algebra": f"six_dim_quadratic_structure({d})", "dim": 6,
+                     "complement": _digest(comp)},
+                    lambda L=L, comp=comp: classify.classify_six_dim(L, comp),
+                    lambda c: {"family": c.family, "d": c.d,
+                               "answer": _digest([[str(x) for x in row] for row in c.witness_basis.data])}))
     return out
 
 

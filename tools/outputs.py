@@ -15,8 +15,9 @@ library answers on a fixed, seeded corpus:
   dim 1-12;
 - `center_basis`, the ascending central series and the centralizer of
   the derived algebra of the stock Lie algebras and of H_1(A) for the
-  stock A, and `classify_six_dim` on the six-dimensional normal forms and
-  on 12 seeded integer changes of basis of them;
+  stock A, and `classify_six_dim` on the six-dimensional normal forms
+  (with the default and with a seeded complement of the centre) and on 12
+  seeded integer changes of basis of them;
 - the stdout document and exit code of every CLI entry point (15 simple
   commands, 5 `filiform` and 3 `symplectic` actions, `moment-map`,
   `units`, `anosov`, `charpoly`) on answered inputs and on malformed
@@ -154,6 +155,9 @@ def _lie_section() -> list[dict]:
         if L.dim == 6 and name.startswith(("six", "h1_dual")):
             c = classify.classify_six_dim(L)
             row["classify"] = [c.family, c.d, _canon(c.witness_basis)]
+            if name.startswith("six") and "conjugated" not in name:
+                c = classify.classify_six_dim(L, six_dim_complement(rng))
+                row["classify_seeded_complement"] = [c.family, c.d, _canon(c.witness_basis)]
         out.append(row)
     return out
 
@@ -251,6 +255,8 @@ def _cli_requests() -> list[list[str]]:
         _j("double-theta", {"algebra": F4, "r": W4}),
         _j("double-theta", {"algebra": F4, "r": W4, "lattice_log": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                                                                       [0, 0, 0, 1]]}),
+        _j("double-theta", {"algebra": F4, "r": W4, "lattice_log": [[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1],
+                                                                      [1, 0, 0, 1]]}),
         _j("double-theta", {"algebra": F4, "r": [[0, 1], [-1, 0]]}),
         _j("double-theta", {"algebra": F4, "r": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}),
         _j("gamma111-aut", {"matrix": [[1, 5, 2], [2, -1, -1], [3, 2, 0]]}),
@@ -327,6 +333,16 @@ def _error_section() -> list[str]:
         except StructuralError as exc:
             out.append(str(exc))
     return out
+
+
+def six_dim_complement(rng: random.Random) -> list[list[int]]:
+    """Four integer vectors of Q^6 independent of span(e5, e6), the centre of `six_dim_quadratic_structure`."""
+    from nillat.matrix import Matrix
+
+    while True:
+        comp = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)]
+        if Matrix([row[:4] for row in comp]).det() != 0:
+            return comp
 
 
 def filiform_pairs(rng: random.Random, n: int, count: int) -> list[tuple[str, list, list]]:
