@@ -608,12 +608,12 @@ def unique_abelian_codim1(L: LieAlgebra) -> list[list[Fraction]]:
     or the ideal fails to be unique, as happens for the 3-dim Heisenberg).
     """
     L.validate()
-    if not L.is_nilpotent():
+    series = L.descending_central_series()
+    if series[-1]:
         raise StructuralError("algebra is not nilpotent")
-    cls = L.nilpotency_class()
-    if cls != L.dim - 1:
+    if len(series) != L.dim - 1:  # the nilpotency class
         raise StructuralError("algebra is not of maximal nilpotency class")
-    derived = L.derived_basis()
+    derived = series[0]
     if not L.is_abelian_subspace(derived):
         raise StructuralError("derived ideal is not abelian")
     cent = L.centralizer_basis(derived)

@@ -7,11 +7,11 @@ Jacobi identity is a checkable property (`validate`), not an assumption.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, StructuralError
 from .matrix import (
-    Matrix, Q, in_span, rref_basis, span_dim, sparse_kernel_basis, _frac, _reduced_rows, _subtract, _unit,
+    Matrix, Q, rref_basis, sparse_kernel_basis, _frac, _reduced_rows, _subtract, _unit,
 )
 
 
@@ -55,17 +55,35 @@ class LieAlgebra:
         return out
 
     def bracket(self, x: Sequence, y: Sequence) -> list[Fraction]:
-        xv = [_frac(a) for a in x]
-        yv = [_frac(a) for a in y]
-        if len(xv) != self.dim or len(yv) != self.dim:
-            raise InputError("vector length does not match algebra dimension")
         out = [Q(0)] * self.dim
-        for (i, j), comp in self.brackets.items():
-            coef = xv[i] * yv[j] - xv[j] * yv[i]
-            if coef:
-                for k, c in comp.items():
-                    out[k] += coef * c
+        for k, c in self._sparse_bracket()(_sparse(x, self.dim), _sparse(y, self.dim)).items():
+            out[k] = c
         return out
+
+    def _sparse_bracket(self):
+        """The bracket on {index: Fraction} vectors, zeros left out.
+
+        For each nonzero x_i it walks the stored brackets [e_i, e_j] and looks
+        up y_j.  The per-index view of `brackets` is built on each call of
+        this method; the returned function reuses it.
+        """
+        by_index: dict[int, dict[int, dict[int, Fraction]]] = {}
+        for (i, j), comp in self.brackets.items():
+            by_index.setdefault(i, {})[j] = comp
+            by_index.setdefault(j, {})[i] = {k: -c for k, c in comp.items()}
+
+        def br(x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> dict[int, Fraction]:
+            out: dict[int, Fraction] = {}
+            for i, xi in x.items():
+                for j, comp in by_index.get(i, {}).items():
+                    yj = y.get(j)
+                    if yj:
+                        xy = xi * yj
+                        for k, c in comp.items():
+                            out[k] = out.get(k, 0) + xy * c
+            return {k: c for k, c in out.items() if c}
+
+        return br
 
     def ad(self, x: Sequence) -> Matrix:
         """Column j is [x, e_j] = sum_i x_i [e_i, e_j], read off the stored brackets."""
@@ -89,14 +107,15 @@ class LieAlgebra:
         if cols.rows != self.dim or cols.cols != self.dim:
             raise InputError("basis matrix must be dim x dim")
         inv = cols.inverse().data
-        vecs = cols.transpose().data
+        vecs = [_sparse(v, self.dim) for v in cols.transpose().data]
+        br = self._sparse_bracket()
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                br = [(m, c) for m, c in enumerate(self.bracket(vecs[i], vecs[j])) if c]
+                b_ij = br(vecs[i], vecs[j]).items()
                 comp = {}
                 for k, row in enumerate(inv):
-                    c = sum(row[m] * b for m, b in br)
+                    c = sum(row[m] * b for m, b in b_ij)
                     if c:
                         comp[k] = c
                 if comp:
@@ -155,10 +174,7 @@ class LieAlgebra:
     # -- distinguished subspaces ------------------------------------------------
 
     def derived_basis(self) -> list[list[Fraction]]:
-        vecs = []
-        for (i, j) in self.brackets:
-            vecs.append(self.basis_bracket(i, j))
-        return rref_basis(vecs)
+        return _rref(self.brackets.values(), self.dim)
 
     def center_basis(self) -> list[list[Fraction]]:
         return self._center_modulo([])
@@ -185,33 +201,45 @@ class LieAlgebra:
         return sparse_kernel_basis(reduced, self.dim)
 
     def centralizer_basis(self, subspace: Sequence[Sequence]) -> list[list[Fraction]]:
-        """{x : [x, s] = 0 for all s in subspace}."""
-        rows = [dict(enumerate(row)) for s in subspace for row in self.ad(s).data]
+        """{x : [x, s] = 0 for all s in subspace}: row k of s holds the coefficients [e_i, s]_k."""
+        rows = []
+        for s in (_sparse(v, self.dim) for v in subspace):
+            by_k: dict[int, dict[int, Fraction]] = {}
+            for i, col in enumerate(self._brackets_with_basis([s])):
+                for k, c in col.items():
+                    by_k.setdefault(k, {})[i] = c
+            rows.extend(by_k.values())
         return rref_basis(sparse_kernel_basis(rows, self.dim))
 
     def bracket_span(self, basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> list[list[Fraction]]:
-        vecs = [self.bracket(a, b) for a in basis_a for b in basis_b]
-        return rref_basis(vecs)
+        br = self._sparse_bracket()
+        xs, ys = ([_sparse(v, self.dim) for v in basis] for basis in (basis_a, basis_b))
+        return _rref((br(x, y) for x in xs for y in ys), self.dim)
+
+    def _brackets_with_basis(self, subspace: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+        """[e_i, s] for every basis index i and every s in the subspace."""
+        br = self._sparse_bracket()
+        return [br({i: Q(1)}, s) for i in range(self.dim) for s in subspace]
 
     def is_ideal(self, subspace: Sequence[Sequence]) -> bool:
-        br = self.bracket_span(_unit_basis(self.dim), subspace)
-        return all(in_span(v, subspace) for v in br)
+        sub = [_sparse(v, self.dim) for v in subspace]
+        return len(_rref(sub + self._brackets_with_basis(sub), self.dim)) == len(_rref(sub, self.dim))
 
     def is_abelian_subspace(self, subspace: Sequence[Sequence]) -> bool:
-        return not self.bracket_span(subspace, subspace)
+        br = self._sparse_bracket()
+        sub = [_sparse(v, self.dim) for v in subspace]
+        return not any(br(x, y) for x in sub for y in sub)
 
     # -- central series -----------------------------------------------------------
 
     def descending_central_series(self) -> list[list[list[Fraction]]]:
         """C^1 = [L, L], C^{r+1} = [L, C^r]; stops when stable (ends with [] iff nilpotent)."""
-        full = _unit_basis(self.dim)
-        series = [self.bracket_span(full, full)]
+        series = [self.derived_basis()]
         while True:
-            nxt = self.bracket_span(full, series[-1])
-            if span_dim(nxt) == span_dim(series[-1]):
-                break
+            nxt = _rref(self._brackets_with_basis([_sparse(v, self.dim) for v in series[-1]]), self.dim)
+            if len(nxt) == len(series[-1]):
+                return series
             series.append(nxt)
-        return series
 
     def ascending_central_series(self) -> list[list[list[Fraction]]]:
         """C_1 = Z(L), C_{r+1}/C_r = Z(L/C_r); stops when stable."""
@@ -224,17 +252,25 @@ class LieAlgebra:
 
     def nilpotency_class(self) -> int:
         series = self.descending_central_series()
-        if series and span_dim(series[-1]) != 0:
+        if series[-1]:
             raise StructuralError("algebra is not nilpotent")
         return len(series)
 
     def is_nilpotent(self) -> bool:
-        series = self.descending_central_series()
-        return not series or span_dim(series[-1]) == 0
+        return not self.descending_central_series()[-1]
 
 
-def _unit_basis(dim: int) -> list[list[Fraction]]:
-    return [_unit(dim, j) for j in range(dim)]
+def _sparse(v: Sequence, dim: int) -> dict[int, Fraction]:
+    """The nonzero coordinates of v, a vector of Q^dim."""
+    if len(v) != dim:
+        raise InputError("vector length does not match algebra dimension")
+    return {k: c for k, c in enumerate(map(_frac, v)) if c}
+
+
+def _rref(rows: Iterable[Mapping[int, Fraction]], dim: int) -> list[list[Fraction]]:
+    """The RREF basis of the span of sparse rows, as dense lists (what `rref_basis` returns)."""
+    pivots = _reduced_rows(rows)
+    return [[pivots[p].get(c, Q(0)) for c in range(dim)] for p in sorted(pivots)]
 
 
 # -- reports and the public operations -------------------------------------------
@@ -254,8 +290,8 @@ def central_series(algebra: LieAlgebra) -> dict:
     return {
         "ascending": asc,
         "descending": desc,
-        "ascending_dims": [span_dim(b) for b in asc],
-        "descending_dims": [span_dim(b) for b in desc],
+        "ascending_dims": [len(b) for b in asc],
+        "descending_dims": [len(b) for b in desc],
     }
 
 
@@ -321,18 +357,10 @@ def semidirect_coadjoint(algebra: LieAlgebra) -> LieAlgebra:
     """
     n = algebra.dim
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), comp in algebra.brackets.items():
-        table[(n + i, n + j)] = {n + k: c for k, c in comp.items()}
-    # [e_{n+i}, eps_j]: ad*_{e_i} eps_j = -sum_k eps_j([e_i, e_k]) eps_k
-    for i in range(n):
-        for j in range(n):
-            comp = {}
-            for k in range(n):
-                br = algebra.basis_bracket(i, k)
-                if br[j] != 0:
-                    comp[k] = comp.get(k, Q(0)) - br[j]
-            comp = {k: c for k, c in comp.items() if c != 0}
-            if comp:
-                # stored with smaller index first: (j, n+i) with sign flip
-                table[(j, n + i)] = {k: -c for k, c in comp.items()}
+    for (i, k), comp in algebra.brackets.items():
+        table[(n + i, n + k)] = {n + j: c for j, c in comp.items()}
+        # [e_{n+i}, eps_j] = -sum_k eps_j([e_i, e_k]) eps_k, stored as [eps_j, e_{n+i}]
+        for j, c in comp.items():
+            table.setdefault((j, n + i), {})[k] = c
+            table.setdefault((j, n + k), {})[i] = -c
     return LieAlgebra(2 * n, table)

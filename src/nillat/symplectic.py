@@ -15,10 +15,10 @@ from itertools import combinations
 from math import factorial, gcd
 from typing import Sequence
 
-from .cocycles import AlternatingForm, left_symmetry_defect, product_from_table
+from .cocycles import AlternatingForm, left_symmetry_defect
 from .errors import InputError, PreconditionError, StructuralError
 from .liealg import LieAlgebra, filiform_algebra, semidirect_coadjoint
-from .matrix import Matrix, Q, in_span, rref_basis, span_dim, _frac, _unit
+from .matrix import Matrix, Q, in_span, rref_basis, span_dim, _frac
 from .multipoly import Poly, poly_vector, vec_is_zero
 
 # -- the canonical filiform cocycle ---------------------------------------------------
@@ -132,7 +132,8 @@ def _coadjoint_exp(algebra: LieAlgebra, x: list[Poly], mu: list[Poly]) -> list[P
 
 def bch(algebra: LieAlgebra, x: list[Poly], y: list[Poly]) -> list[Poly]:
     """Baker-Campbell-Hausdorff through degree 4 (exact for class <= 4)."""
-    if not algebra.is_nilpotent() or algebra.nilpotency_class() > 4:
+    series = algebra.descending_central_series()
+    if series[-1] or len(series) > 4:  # not nilpotent, or of class > 4
         raise PreconditionError("BCH truncation covers nilpotency class <= 4 only")
     br = lambda a, b: _bracket_poly(algebra, a, b)
     xy = br(x, y)
@@ -193,35 +194,24 @@ def flat_symplectic_structure(
     if not form.is_cocycle() or not form.is_nondegenerate():
         raise PreconditionError("form must be a symplectic cocycle")
 
-    # decomposition x = iota(x) + lam(x) e against the basis (ideal, e)
-    basis_cols = Matrix.from_columns(list(ideal) + [e])
-    binv = basis_cols.inverse()
-
-    def lam(x: Sequence[Fraction]) -> Fraction:
-        return binv.apply(x)[n - 1]
+    # decomposition x = iota(x) + lam(x) e against the basis (ideal, e): lam(e_i) = lam[i]
+    lam = Matrix.from_columns(list(ideal) + [e]).inverse().data[n - 1]
+    ad_e = algebra.ad(e)  # column j is [e, e_j]
 
     # v: w(v, c) = w([e, c], e) for c in ideal; w(v, e) = 0
     rows = []
     rhs = []
     for c in ideal:
         rows.append(form.flat(c))          # w(v, c) = sum_i v_i w[i][c-dir]
-        rhs.append(form(algebra.bracket(e, c), e))
+        rhs.append(form(ad_e.apply(c), e))
     rows.append(form.flat(e))
     rhs.append(Q(0))
     # w(v, c) = -w(c, v): rows above give w(c, v); flip sign of rhs
     v = Matrix(rows).solve([-r for r in rhs])
 
-    table: list[list[list[Fraction]]] = []
-    for i in range(n):
-        ei = _unit(n, i)
-        li = lam(ei)
-        row = []
-        for j in range(n):
-            ej = _unit(n, j)
-            ad_e = algebra.bracket(e, ej)
-            lj = lam(ej)
-            row.append([li * (a + lj * b) for a, b in zip(ad_e, v)])
-        table.append(row)
+    # e_i e_j = lam(e_i) ([e, e_j] + lam(e_j) v)
+    cols = [[a + lam[j] * b for a, b in zip(col, v)] for j, col in enumerate(ad_e.transpose().data)]
+    table = [[[li * x for x in col] for col in cols] for li in lam]
 
     _verify_flat_symplectic(algebra, form, table)
     return table
@@ -233,32 +223,27 @@ def _verify_flat_symplectic(algebra: LieAlgebra, form: AlternatingForm, table) -
         raise StructuralError("product has torsion")
     if defect == "associator":
         raise StructuralError("associator is not left-symmetric")
-    n = algebra.dim
-    w = form.matrix.data
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
+    w = form.rows()
+    for row in table:
+        for j, prod in enumerate(row):
+            for k, prod_k in enumerate(row):
                 # w(e_i e_j, e_k) + w(e_j, e_i e_k) = 0
-                val = sum(c * w[a][k] for a, c in enumerate(table[i][j]) if c != 0)
-                val += sum(w[j][b] * c for b, c in enumerate(table[i][k]) if c != 0)
+                val = sum(c * w[a].get(k, 0) for a, c in enumerate(prod) if c)
+                val += sum(c * prod_k[b] for b, c in w[j].items())
                 if val != 0:
                     raise StructuralError("symplectic form is not parallel")
 
 
 def curvature_vanishes(algebra: LieAlgebra, table) -> bool:
-    """L_{[a,b]} = [L_a, L_b] on all basis pairs."""
+    """L_{[a,b]} = [L_a, L_b] on all basis pairs, with L_{e_i} the matrix of columns table[i]."""
     n = algebra.dim
-
-    def lmat(vec):
-        cols = [product_from_table(table, vec, _unit(n, j)) for j in range(n)]
-        return Matrix.from_columns(cols)
-
-    for i in range(n):
-        for j in range(n):
-            lhs = lmat(algebra.basis_bracket(i, j))
-            la, lb = lmat(_unit(n, i)), lmat(_unit(n, j))
-            if lhs != la * lb - lb * la:
-                return False
+    lmat = [Matrix.from_columns(row) for row in table]
+    for i, j in combinations(range(n), 2):
+        lhs = Matrix.zero(n, n)
+        for k, c in algebra.brackets.get((i, j), {}).items():
+            lhs = lhs + lmat[k].scale(c)
+        if lhs != lmat[i] * lmat[j] - lmat[j] * lmat[i]:
+            return False
     return True
 
 
@@ -274,7 +259,7 @@ def orthogonal_subalgebra(
     rows = [form.flat(h) for h in subspace]
     rows = [r for r in rows if any(c != 0 for c in r)]
     if not rows:
-        return rref_basis([_unit(algebra.dim, j) for j in range(algebra.dim)])
+        return Matrix.identity(algebra.dim).copy_data()
     # w(x, h) = -w(h, x): kernel of the matrix with rows w(h, .)
     return rref_basis(Matrix(rows).kernel_basis())
 
@@ -337,10 +322,11 @@ def cybe_check(algebra: LieAlgebra, r: Matrix) -> bool:
     if r.transpose() != r.scale(-1):
         raise InputError("bivector matrix must be skew-symmetric")
     n = algebra.dim
-    cols = [r.column(b) for b in range(n)]
-    br = {(b, c): algebra.bracket(cols[b], cols[c]) for b, c in combinations(range(n), 2)}
+    cols = [{a: x for a, x in enumerate(r.column(b)) if x} for b in range(n)]
+    bracket = algebra._sparse_bracket()
+    br = {(b, c): bracket(cols[b], cols[c]) for b, c in combinations(range(n), 2)}
     return all(
-        br[j, k][i] - br[i, k][j] + br[i, j][k] == 0
+        br[j, k].get(i, 0) - br[i, k].get(j, 0) + br[i, j].get(k, 0) == 0
         for i, j, k in combinations(range(n), 3)
     )
 
@@ -367,61 +353,32 @@ def double_theta_check(algebra: LieAlgebra, r: Matrix) -> DoubleStructures:
     if not cybe_check(algebra, r):
         raise PreconditionError("bivector does not solve the Yang-Baxter equation")
     n = algebra.dim
+    # ad_r[a][k][j] = [r eps_a, e_j]_k, r eps_a being column a of r
+    ad_r = [algebra.ad(r.column(a)).data for a in range(n)]
+    # dual[a][b][j] = [eps_a, eps_b]*(e_j) = (ad*_{r eps_a} eps_b - ad*_{r eps_b} eps_a)(e_j)
+    dual = [[[ad_r[b][a][j] - ad_r[a][b][j] for j in range(n)] for b in range(n)] for a in range(n)]
 
-    def adstar(x: Sequence[Fraction], mu: Sequence[Fraction]) -> list[Fraction]:
-        ad = algebra.ad(x)
-        return [-sum(mu[i] * ad.data[i][j] for i in range(n)) for j in range(n)]
-
-    def dual_bracket(alpha, beta):
-        return [
-            a - b
-            for a, b in zip(adstar(r.apply(alpha), beta), adstar(r.apply(beta), alpha))
-        ]
-
-    def coad_dual(alpha, y):
-        # <ad*_alpha y, gamma> = -<y, [alpha, gamma]*>
-        out = []
-        for g_idx in range(n):
-            gamma = _unit(n, g_idx)
-            out.append(-sum(a * b for a, b in zip(y, dual_bracket(alpha, gamma))))
-        return out
-
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-    def put(i, j, vec):
-        comp = {k: c for k, c in enumerate(vec) if c != 0}
-        if comp:
-            table[(i, j)] = comp
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            put(i, j, dual_bracket(_unit(n, i), _unit(n, j)) + [Q(0)] * n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            put(n + i, n + j, [Q(0)] * n + algebra.basis_bracket(i, j))
-    for a_idx in range(n):
-        for x_idx in range(n):
-            alpha = _unit(n, a_idx)
-            x = _unit(n, x_idx)
-            # [alpha, x]_D = -[x, alpha]_D = (-ad*_x alpha, +ad*_alpha x)
-            vec = [-c for c in adstar(x, alpha)] + coad_dual(alpha, x)
-            put(a_idx, n + x_idx, vec)
-
+    # The mixed bracket [eps_a, e_x] of D(G, r) is that of t*G, -ad*_{e_x} eps_a, on
+    # the dual copy, plus ad*_{eps_a} e_x on the algebra copy, whose e_b
+    # coordinate is -[eps_a, eps_b]*(e_x).
+    semi = semidirect_coadjoint(algebra)
+    table = {p: dict(comp) for p, comp in semi.brackets.items()}
+    for a in range(n):
+        for b in range(n):
+            for x, c in enumerate(dual[a][b]):
+                if c:
+                    if a < b:
+                        table.setdefault((a, b), {})[x] = c
+                    table.setdefault((a, n + x), {})[n + b] = -c
     double = LieAlgebra(2 * n, table)
     double.validate()
-    semi = semidirect_coadjoint(algebra)
     semi.validate()
 
-    theta_cols = []
-    for a_idx in range(n):
-        col = _unit(2 * n, a_idx)
-        ra = r.column(a_idx)
-        for t in range(n):
-            col[n + t] += ra[t]
-        theta_cols.append(col)
-    for x_idx in range(n):
-        theta_cols.append(_unit(2 * n, n + x_idx))
-    theta = Matrix.from_columns(theta_cols)
+    # theta is the identity plus r from the dual copy into the algebra copy
+    rows = Matrix.identity(2 * n).copy_data()
+    for t in range(n):
+        rows[n + t][:n] = r.data[t]
+    theta = Matrix(rows)
     if semi.in_basis(theta) != double.brackets:
         raise StructuralError("theta is not a Lie algebra isomorphism")
     return DoubleStructures(double, semi, theta)
@@ -437,6 +394,8 @@ def rational_structure_for_double(
     """
     n = algebra.dim
     cols = [[_frac(x) for x in v] for v in lattice_log]
+    if any(len(v) != n for v in cols):
+        raise InputError(f"lattice basis vectors must have length {n}, the algebra dimension")
     if len(cols) != n or span_dim(cols) != n:
         raise InputError("lattice basis must span the algebra over Q")
     if not cybe_check(algebra, r):

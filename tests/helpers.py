@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own linear algebra: plain-list
 Gaussian elimination and direct definitional evaluation, so a bug in the
-production path cannot hide inside its own verification.  The exceptions are
-the last five sections, which keep the dense cocycle-space solve and form
-read, the dense commutative-algebra products, trace form and socle, the
-filiform decision path as it was before it became integer-only, the
-Smith normal form and Sylvester rows as they were before they skipped zero
-entries, and the dense central-series step and change of basis of the
-structure constants, to compare the new paths' outputs against.
+production path cannot hide inside its own verification; every bracket in
+them is `dense_bracket`, one pass over the whole stored table.  The
+exceptions are the last six sections, which keep the dense cocycle-space
+solve and form read, the dense commutative-algebra products, trace form and
+socle, the filiform decision path as it was before it became integer-only,
+the Smith normal form and Sylvester rows as they were before they skipped
+zero entries, the dense central-series step and change of basis of the
+structure constants, and the dense unit-vector bracket paths of `liealg`
+and `symplectic`, to compare the new paths' outputs against.
 """
 
 from fractions import Fraction
@@ -16,9 +18,10 @@ from itertools import combinations, product as iproduct
 from math import isqrt
 
 from nillat.classify import FiliformLatticeSpec, _sylvester_solve_unitriangular, theta_invariant
-from nillat.cocycles import AlternatingForm, _pair_index
+from nillat.cocycles import AlternatingForm, _pair_index, left_symmetry_defect, product_from_table
 from nillat.errors import InputError, PreconditionError, StructuralError
 from nillat.intlattice import IntRows, SnfResult, mat_identity, mat_mul, xgcd
+from nillat.liealg import LieAlgebra
 from nillat.matrix import Matrix, rref_basis, span_dim
 from nillat.quadratic import RingElement, ring_of_integers
 
@@ -118,9 +121,9 @@ def brute_force_cocycle_dim(algebra):
     for i, j, k in combinations(range(n), 3):
         row = []
         ei, ej, ek = unit(i), unit(j), unit(k)
-        bij = algebra.bracket(ei, ej)
-        bjk = algebra.bracket(ej, ek)
-        bki = algebra.bracket(ek, ei)
+        bij = dense_bracket(algebra, ei, ej)
+        bjk = dense_bracket(algebra, ej, ek)
+        bki = dense_bracket(algebra, ek, ei)
         for t in range(len(pairs)):
             coeffs = [Q(0)] * len(pairs)
             coeffs[t] = Q(1)
@@ -162,7 +165,7 @@ def dense_left_symmetric_solve(algebra, form_matrix):
             for k in range(n):
                 # sum_t x_t w(e_t, e_k) = -w(e_j, [e_i, e_k])
                 coeff = [form_matrix[t][k] for t in range(n)]
-                rhs = -omega(unit(j), algebra.bracket(unit(i), unit(k)))
+                rhs = -omega(unit(j), dense_bracket(algebra, unit(i), unit(k)))
                 aug.append(coeff + [rhs])
             pivots = rref_inplace(aug)
             assert pivots == list(range(n)), "degenerate form in oracle"
@@ -189,6 +192,21 @@ def _unit(n, j):
     return v
 
 
+def dense_bracket(algebra, x, y):
+    """[x, y] by one pass over every stored bracket, dense vectors in and out."""
+    xv = [Q(a) for a in x]
+    yv = [Q(a) for a in y]
+    if len(xv) != algebra.dim or len(yv) != algebra.dim:
+        raise InputError("vector length does not match algebra dimension")
+    out = [Q(0)] * algebra.dim
+    for (i, j), comp in algebra.brackets.items():
+        coef = xv[i] * yv[j] - xv[j] * yv[i]
+        if coef:
+            for k, c in comp.items():
+                out[k] += coef * c
+    return out
+
+
 def _vadd(*vecs):
     out = [Q(0)] * len(vecs[0])
     for v in vecs:
@@ -205,9 +223,9 @@ def dense_jacobi_violations(algebra):
             for k in range(j + 1, algebra.dim):
                 ei, ej, ek = (_unit(algebra.dim, t) for t in (i, j, k))
                 s = _vadd(
-                    algebra.bracket(algebra.bracket(ei, ej), ek),
-                    algebra.bracket(algebra.bracket(ej, ek), ei),
-                    algebra.bracket(algebra.bracket(ek, ei), ej),
+                    dense_bracket(algebra, dense_bracket(algebra, ei, ej), ek),
+                    dense_bracket(algebra, dense_bracket(algebra, ej, ek), ei),
+                    dense_bracket(algebra, dense_bracket(algebra, ek, ei), ej),
                 )
                 if any(c != 0 for c in s):
                     bad.append(((i, j, k), s))
@@ -217,7 +235,7 @@ def dense_jacobi_violations(algebra):
 def coboundary_value(form, x, y, z):
     """(dw)(x, y, z) = w([x,y], z) + w([y,z], x) + w([z,x], y), with the dense bracket."""
     L = form.algebra
-    return form(L.bracket(x, y), z) + form(L.bracket(y, z), x) + form(L.bracket(z, x), y)
+    return form(dense_bracket(L, x, y), z) + form(dense_bracket(L, y, z), x) + form(dense_bracket(L, z, x), y)
 
 
 def dense_is_cocycle(form):
@@ -233,7 +251,7 @@ def dense_is_cocycle(form):
 
 def dense_ad(algebra, x):
     """Rows of ad(x), column j being the dense bracket [x, e_j]."""
-    cols = [algebra.bracket(x, _unit(algebra.dim, j)) for j in range(algebra.dim)]
+    cols = [dense_bracket(algebra, x, _unit(algebra.dim, j)) for j in range(algebra.dim)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -250,7 +268,7 @@ def dense_cybe_check(algebra, r):
     def bracket_value(i, j, k):
         out = Q(0)
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            out += algebra.bracket(r.column(b), r.column(c))[a]
+            out += dense_bracket(algebra, r.column(b), r.column(c))[a]
         return out
 
     for i in range(n):
@@ -719,9 +737,202 @@ def dense_in_basis(algebra, basis_cols):
     table = {}
     for i in range(n):
         for j in range(i + 1, n):
-            br = algebra.bracket(basis_cols.column(i), basis_cols.column(j))
+            br = dense_bracket(algebra, basis_cols.column(i), basis_cols.column(j))
             coords = inv.apply(br)
             comp = {k: c for k, c in enumerate(coords) if c != 0}
             if comp:
                 table[(i, j)] = comp
     return table
+
+
+# -- the dense bracket paths of liealg and symplectic ---------------------------------
+#
+# Copies (renamed) of the library code before it read the structure constants
+# through one sparse bracket: dense brackets of unit vectors for the bracket
+# spans, the central series, the ideal tests and t*G; the flat table with a
+# dense `apply` per lam(e_i) and a bracket [e, e_j] per table entry, and its
+# n^3 parallelism check over the dense form matrix; the curvature from dense
+# product matrices; and the double D(G, r) with two dense `ad` matrices per
+# dual bracket.  They use `dense_bracket` and, as the library did, the
+# library's `Matrix` inverse and solve, `ad`, `basis_bracket`,
+# `left_symmetry_defect` and `product_from_table`.
+
+
+def dense_bracket_span(algebra, basis_a, basis_b):
+    return dense_rref_basis([dense_bracket(algebra, a, b) for a in basis_a for b in basis_b])
+
+
+def _dense_in_span(v, basis):
+    return len(dense_rref_basis(list(basis) + [v])) == len(dense_rref_basis(basis))
+
+
+def dense_is_ideal(algebra, subspace):
+    units = [_unit(algebra.dim, j) for j in range(algebra.dim)]
+    return all(_dense_in_span(v, subspace) for v in dense_bracket_span(algebra, units, subspace))
+
+
+def dense_is_abelian_subspace(algebra, subspace):
+    return not dense_bracket_span(algebra, subspace, subspace)
+
+
+def dense_centralizer_basis(algebra, subspace):
+    """Kernel of the stacked rows of ad(s), through `rref_inplace`."""
+    rows = [row for s in subspace for row in dense_ad(algebra, s)]
+    return dense_rref_basis(dense_kernel_basis(rows, algebra.dim))
+
+
+def dense_descending_central_series(algebra):
+    """C^1 = [L, L], C^{r+1} = [L, C^r]; stops when stable (ends with [] iff nilpotent)."""
+    full = [_unit(algebra.dim, j) for j in range(algebra.dim)]
+    series = [dense_bracket_span(algebra, full, full)]
+    while True:
+        nxt = dense_bracket_span(algebra, full, series[-1])
+        if len(nxt) == len(series[-1]):
+            return series
+        series.append(nxt)
+
+
+def dense_semidirect_coadjoint(algebra):
+    """t*G on the basis (dual basis, basis), one `basis_bracket` per (i, j, k)."""
+    n = algebra.dim
+    table = {}
+    for (i, j), comp in algebra.brackets.items():
+        table[(n + i, n + j)] = {n + k: c for k, c in comp.items()}
+    # [e_{n+i}, eps_j]: ad*_{e_i} eps_j = -sum_k eps_j([e_i, e_k]) eps_k
+    for i in range(n):
+        for j in range(n):
+            comp = {}
+            for k in range(n):
+                br = algebra.basis_bracket(i, k)
+                if br[j] != 0:
+                    comp[k] = comp.get(k, Q(0)) - br[j]
+            comp = {k: c for k, c in comp.items() if c != 0}
+            if comp:
+                # stored with smaller index first: (j, n+i) with sign flip
+                table[(j, n + i)] = {k: -c for k, c in comp.items()}
+    return LieAlgebra(2 * n, table)
+
+
+def dense_flat_table(algebra, ideal_basis, complement_vector, form):
+    """The flat symplectic product table of `flat_symplectic_structure`, for inputs it accepts."""
+    n = algebra.dim
+    ideal = dense_rref_basis(ideal_basis)
+    e = [Q(c) for c in complement_vector]
+    binv = Matrix.from_columns(list(ideal) + [e]).inverse()
+
+    def lam(x):
+        return binv.apply(x)[n - 1]
+
+    rows = []
+    rhs = []
+    for c in ideal:
+        rows.append(form.flat(c))
+        rhs.append(form(dense_bracket(algebra, e, c), e))
+    rows.append(form.flat(e))
+    rhs.append(Q(0))
+    v = Matrix(rows).solve([-r for r in rhs])
+
+    table = []
+    for i in range(n):
+        ei = _unit(n, i)
+        li = lam(ei)
+        row = []
+        for j in range(n):
+            ej = _unit(n, j)
+            ad_e = dense_bracket(algebra, e, ej)
+            lj = lam(ej)
+            row.append([li * (a + lj * b) for a, b in zip(ad_e, v)])
+        table.append(row)
+
+    dense_verify_flat_symplectic(algebra, form, table)
+    return table
+
+
+def dense_verify_flat_symplectic(algebra, form, table):
+    defect = left_symmetry_defect(algebra, table)
+    if defect == "torsion":
+        raise StructuralError("product has torsion")
+    if defect == "associator":
+        raise StructuralError("associator is not left-symmetric")
+    n = algebra.dim
+    w = form.matrix.data
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                # w(e_i e_j, e_k) + w(e_j, e_i e_k) = 0
+                val = sum(c * w[a][k] for a, c in enumerate(table[i][j]) if c != 0)
+                val += sum(w[j][b] * c for b, c in enumerate(table[i][k]) if c != 0)
+                if val != 0:
+                    raise StructuralError("symplectic form is not parallel")
+
+
+def dense_curvature_vanishes(algebra, table):
+    """L_{[a,b]} = [L_a, L_b] on all basis pairs."""
+    n = algebra.dim
+
+    def lmat(vec):
+        cols = [product_from_table(table, vec, _unit(n, j)) for j in range(n)]
+        return Matrix.from_columns(cols)
+
+    for i in range(n):
+        for j in range(n):
+            lhs = lmat(algebra.basis_bracket(i, j))
+            la, lb = lmat(_unit(n, i)), lmat(_unit(n, j))
+            if lhs != la * lb - lb * la:
+                return False
+    return True
+
+
+def dense_double(algebra, r):
+    """(bracket table of D(G, r), theta matrix) as `double_theta_check` built them, without its checks."""
+    n = algebra.dim
+
+    def adstar(x, mu):
+        ad = algebra.ad(x)
+        return [-sum(mu[i] * ad.data[i][j] for i in range(n)) for j in range(n)]
+
+    def dual_bracket(alpha, beta):
+        return [
+            a - b
+            for a, b in zip(adstar(r.apply(alpha), beta), adstar(r.apply(beta), alpha))
+        ]
+
+    def coad_dual(alpha, y):
+        # <ad*_alpha y, gamma> = -<y, [alpha, gamma]*>
+        out = []
+        for g_idx in range(n):
+            gamma = _unit(n, g_idx)
+            out.append(-sum(a * b for a, b in zip(y, dual_bracket(alpha, gamma))))
+        return out
+
+    table = {}
+
+    def put(i, j, vec):
+        comp = {k: c for k, c in enumerate(vec) if c != 0}
+        if comp:
+            table[(i, j)] = comp
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            put(i, j, dual_bracket(_unit(n, i), _unit(n, j)) + [Q(0)] * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            put(n + i, n + j, [Q(0)] * n + algebra.basis_bracket(i, j))
+    for a_idx in range(n):
+        for x_idx in range(n):
+            alpha = _unit(n, a_idx)
+            x = _unit(n, x_idx)
+            # [alpha, x]_D = -[x, alpha]_D = (-ad*_x alpha, +ad*_alpha x)
+            vec = [-c for c in adstar(x, alpha)] + coad_dual(alpha, x)
+            put(a_idx, n + x_idx, vec)
+
+    theta_cols = []
+    for a_idx in range(n):
+        col = _unit(2 * n, a_idx)
+        ra = r.column(a_idx)
+        for t in range(n):
+            col[n + t] += ra[t]
+        theta_cols.append(col)
+    for x_idx in range(n):
+        theta_cols.append(_unit(2 * n, n + x_idx))
+    return table, Matrix.from_columns(theta_cols)

@@ -311,6 +311,16 @@ def test_double_theta_cli(capsys):
     assert "rational_structure" in doc
 
 
+@pytest.mark.parametrize("length", [3, 5])
+def test_double_theta_lattice_vectors_of_wrong_length_exit_two(capsys, length):
+    lie = {"dim": 4, "brackets": [[1, 2, [[3, 1]]], [1, 3, [[4, 1]]]]}
+    r = [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
+    basis = [[int(i == j) for j in range(length)] for i in range(4)]
+    code, doc = run_cli(capsys, "double-theta", "--json", json.dumps({"algebra": lie, "r": r, "lattice_log": basis}))
+    assert code == 2 and doc["error"] == "input"
+    assert "must have length 4" in doc["message"]
+
+
 def test_phi_aut_cli(capsys):
     code, doc = run_cli(capsys, "phi-aut", "--json", '{"m":2,"alpha":[1,1],"beta":[1,1]}')
     assert code == 0

@@ -15,7 +15,13 @@ commutative-algebra products, validation, trace form and socle are
 compared with plain-list elimination, with dense matrix arithmetic and
 with dense copies of the earlier code.  So are the Smith
 normal form with its sparse row and column updates, and the Sylvester rows
-of the filiform isomorphism test.
+of the filiform isomorphism test.  The sparse bracket of `LieAlgebra` and
+everything read through it (bracket spans, ideal and abelian tests,
+centralizers, the descending central series, t*G), the flat symplectic
+table with its parallelism check, the curvature test and the double
+D(G, r) are compared with dense copies of the earlier unit-vector code, on
+filiform algebras, on integer changes of basis of them and of the
+six-dimensional structures, on 2-step algebras and on flat and CYBE inputs.
 """
 
 import random
@@ -29,6 +35,17 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     brute_force_cocycle_dim,
     dense_ad,
+    dense_bracket,
+    dense_bracket_span,
+    dense_centralizer_basis,
+    dense_curvature_vanishes,
+    dense_descending_central_series,
+    dense_double,
+    dense_flat_table,
+    dense_is_abelian_subspace,
+    dense_is_ideal,
+    dense_semidirect_coadjoint,
+    dense_verify_flat_symplectic,
     dense_ascending_central_series,
     dense_center_basis,
     dense_cocycle_space,
@@ -48,13 +65,14 @@ from helpers import (
 )
 from nillat import classify
 from nillat.classify import FiliformLatticeSpec, filiform_normalize
-from nillat.cocycles import AlternatingForm, cocycle_space
+from nillat.cocycles import AlternatingForm, cocycle_space, left_symmetric_product
 from nillat.commalg import CommAlgebra, frobenius_quadratic_algebra, monomial_quotient, radical_and_socle
 from nillat.errors import InputError, StructuralError
 from nillat.heisenberg import heisenberg_over
 from nillat.intlattice import integer_kernel_basis, mat_identity, mat_mul, smith_normal_form, solve_diophantine
-from nillat.liealg import LieAlgebra, filiform_algebra
+from nillat.liealg import LieAlgebra, filiform_algebra, semidirect_coadjoint, six_dim_quadratic_structure
 from nillat.matrix import Matrix, sparse_kernel_basis
+from nillat import symplectic
 from nillat.symplectic import cybe_check
 
 small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
@@ -377,3 +395,113 @@ def test_sylvester_systems_match_dense_oracles(n, seed):
         assert mat_mul(rows, [[v] for v in x]) == [[b] for b in rhs]
         assert kernel == integer_kernel_basis(rows)
         assert mat_mul(s2.g, witness) == mat_mul(witness, s1.g)
+
+
+def _conjugated(L, seed):
+    """L in the basis of the columns of a seeded invertible integer matrix."""
+    return LieAlgebra(L.dim, dense_in_basis(L, _invertible_int_matrix(L.dim, seed)))
+
+
+seeds = st.integers(0, 2 ** 32)
+lie_algebras = st.one_of(
+    st.builds(filiform_algebra, st.integers(2, 8)),
+    st.builds(lambda n, seed: _conjugated(filiform_algebra(n), seed), st.integers(2, 6), seeds),
+    st.builds(lambda d, v, seed: _conjugated(six_dim_quadratic_structure(d, v), seed),
+              st.sampled_from([-5, -2, -1, 2, 3, 5, 7]), st.sampled_from([1, 2]), seeds),
+    two_step_algebras(),
+    st.sampled_from([LieAlgebra(2, {(0, 1): {1: 1}}), LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})]),
+)
+
+
+def _vectors(data, n, max_size):
+    vec = st.lists(st.one_of(small, st.integers(-3, 3)), min_size=n, max_size=n)
+    return data.draw(st.lists(vec, max_size=max_size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_tables(), st.data())
+def test_bracket_matches_dense_oracle(L, data):
+    for x, y in zip(*[_vectors(data, L.dim, 3)] * 2):
+        assert L.bracket(x, y) == dense_bracket(L, x, y)
+    assert semidirect_coadjoint(L).brackets == dense_semidirect_coadjoint(L).brackets
+
+
+@settings(max_examples=20, deadline=None)
+@given(lie_algebras, st.data())
+def test_bracket_paths_match_dense_oracles(L, data):
+    series = L.descending_central_series()
+    assert series == dense_descending_central_series(L)
+    assert L.is_nilpotent() == (not series[-1])
+    if not series[-1]:
+        assert L.nilpotency_class() == len(series)
+    units = [[F(int(i == j)) for j in range(L.dim)] for i in range(L.dim)]
+    derived = L.derived_basis()
+    assert derived == dense_bracket_span(L, units, units) == series[0]
+    drawn = _vectors(data, L.dim, 3)
+    for sub in (derived, L.centralizer_basis(derived), drawn, units[:2]):
+        assert L.centralizer_basis(sub) == dense_centralizer_basis(L, sub)
+        assert L.is_ideal(sub) == dense_is_ideal(L, sub)
+        assert L.is_abelian_subspace(sub) == dense_is_abelian_subspace(L, sub)
+        assert L.bracket_span(sub, drawn) == dense_bracket_span(L, sub, drawn)
+    assert semidirect_coadjoint(L).brackets == dense_semidirect_coadjoint(L).brackets
+
+
+def _parallel_message(verify, L, form, table):
+    try:
+        verify(L, form, table)
+    except StructuralError as exc:
+        return str(exc)
+    return None
+
+
+# a filiform case of dim 8 takes about 1 s; tools/outputs.py covers dim 8
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([F(1), F(-2), F(1, 3)]), seeds)
+def test_flat_structure_matches_dense_oracles(half_dim, scale, seed):
+    """The affine algebra (half_dim 1) or filiform of dim 2 half_dim, with a seeded basis of the
+    abelian ideal and a seeded complement e_0 + (ideal vector)."""
+    rng = random.Random(seed)
+    n = 2 * half_dim
+    if half_dim == 1:
+        L = LieAlgebra(2, {(0, 1): {1: 1}})
+        form = AlternatingForm.from_upper_entries(L, {(0, 1): scale})
+    else:
+        L, form = filiform_algebra(n - 1), symplectic.filiform_cocycle(half_dim).scale(scale)
+    mix = _invertible_int_matrix(n - 1, seed)
+    ideal = [[F(0)] + row for row in mix.data]
+    e = [F(1)] + [F(rng.randint(-2, 2)) for _ in range(n - 1)]
+    table = symplectic.flat_symplectic_structure(L, ideal, e, form)
+    assert table == dense_flat_table(L, ideal, e, form)
+    # the product w(ab, c) = -w(b, [a, c]) is flat too, and its L_a do not commute
+    for flat in (table, left_symmetric_product(L, form)):
+        assert symplectic.curvature_vanishes(L, flat) and dense_curvature_vanishes(L, flat)
+        bent = [[list(v) for v in row] for row in flat]
+        bent[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
+        assert symplectic.curvature_vanishes(L, bent) == dense_curvature_vanishes(L, bent)
+    for other in cocycle_space(L)[0]:
+        assert (_parallel_message(symplectic._verify_flat_symplectic, L, other, table)
+                == _parallel_message(dense_verify_flat_symplectic, L, other, table))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_double_matches_dense_oracle(data):
+    """Filiform of dim 4 or 6 with a multiple of the inverse canonical bivector, abelian algebras with a
+    drawn skew r, and H_1 with r in e_0 ^ e_2 and e_1 ^ e_2 (all solve the CYBE)."""
+    kind = data.draw(st.sampled_from(["filiform", "abelian", "heisenberg"]))
+    if kind == "filiform":
+        half = data.draw(st.sampled_from([2, 3]))
+        L = filiform_algebra(2 * half - 1)
+        r = symplectic.inverse_bivector(symplectic.filiform_cocycle(half).scale(data.draw(small.filter(bool))))
+    elif kind == "abelian":
+        n = data.draw(st.integers(1, 4))
+        L, r = LieAlgebra(n, {}), data.draw(skew_matrices(n))
+    else:
+        L = LieAlgebra(3, {(0, 1): {2: 1}})
+        a, b = data.draw(small), data.draw(small)
+        r = Matrix([[0, 0, a], [0, 0, b], [-a, -b, 0]])
+    ds = symplectic.double_theta_check(L, r)
+    table, theta = dense_double(L, r)
+    assert ds.double.brackets == table
+    assert ds.theta_matrix == theta
+    assert ds.semidirect.brackets == dense_semidirect_coadjoint(L).brackets

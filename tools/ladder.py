@@ -28,11 +28,19 @@ of the wall time in ms:
   n = 3..12 (dim 4..13): one centre modulo a subspace per term;
 - `classify_six_dim` on `six_dim_quadratic_structure(d)`, d = -5, -2, -1,
   2, 3, 5, 7, each with a fixed seeded complement of its centre: two
-  changes of basis of the structure constants per call.
+  changes of basis of the structure constants per call, on dense columns;
+- `LieAlgebra.descending_central_series` on `filiform_algebra(n)`,
+  n = 3..16 (dim 4..17): one bracket span per term;
+- `flat_symplectic_structure` on the 2-dim affine algebra and the
+  filiform algebras of dim 4, 6 and 8 with their canonical forms (the
+  unscaled cases of `tools/outputs.py`);
+- `double_theta_check` on the filiform algebra of dim 2n = 4, 6, 8 with
+  the inverse of its canonical form: the double, t*G, both Jacobi checks
+  and the theta isomorphism check.
 
 dim Z^2 (or the certificate kind, the kernel dimension, the radical and
-socle dimensions, the series dimensions, or a digest of the system and of
-the answer) is reported beside each rung, so two ladders can be checked to
+socle dimensions, the series dimensions, or a digest of the system, of the
+table or of the answer) is reported beside each rung, so two ladders can be checked to
 have computed the same thing.
 
 With two checkouts, runs ROUNDS rounds.  Each round starts one child
@@ -81,7 +89,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from outputs import filiform_pairs, six_dim_complement
+from outputs import filiform_pairs, flat_cases, six_dim_complement
 
 REPEATS = 5
 ROUNDS = 3
@@ -94,7 +102,10 @@ WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, 
         "solve_diophantine on the Sylvester system of a seeded conjugated pair, n=4..8, and "
         "filiform_isomorphic on a seeded yes-pair and no-pair, n=3..8; of the Lie kernels: "
         "ascending_central_series of filiform_algebra(n), n=3..12, and classify_six_dim of "
-        "six_dim_quadratic_structure(d) with a seeded complement, d=-5,-2,-1,2,3,5,7; wall time in ms")
+        "six_dim_quadratic_structure(d) with a seeded complement, d=-5,-2,-1,2,3,5,7; of the bracket "
+        "kernel: descending_central_series of filiform_algebra(n), n=3..16, flat_symplectic_structure on "
+        "the affine algebra and the filiform algebras of dim 4, 6, 8, and double_theta_check on the "
+        "filiform algebra of dim 2n=4, 6, 8 with the inverse canonical bivector; wall time in ms")
 
 
 def _time(fn):
@@ -150,6 +161,7 @@ def rungs() -> list[tuple[dict, object, object]]:
     from nillat.intlattice import solve_diophantine
     from nillat.liealg import filiform_algebra, six_dim_quadratic_structure
     from nillat.matrix import Matrix
+    from nillat.symplectic import double_theta_check, filiform_cocycle, flat_symplectic_structure, inverse_bivector
 
     out = []
     for k, top in ((1, 8), (2, 6)):
@@ -204,6 +216,21 @@ def rungs() -> list[tuple[dict, object, object]]:
                     lambda L=L, comp=comp: classify.classify_six_dim(L, comp),
                     lambda c: {"family": c.family, "d": c.d,
                                "answer": _digest([[str(x) for x in row] for row in c.witness_basis.data])}))
+    for n in range(3, 17):
+        L = filiform_algebra(n)
+        out.append(({"op": "LieAlgebra.descending_central_series", "algebra": f"filiform_algebra({n})", "dim": L.dim},
+                    L.descending_central_series, lambda series: {"dims": [len(b) for b in series]}))
+    for name, L, ideal, e, form in flat_cases()[::3]:  # scale 1
+        out.append(({"op": "flat_symplectic_structure", "algebra": name.split()[0], "dim": L.dim},
+                    lambda L=L, ideal=ideal, e=e, form=form: flat_symplectic_structure(L, ideal, e, form),
+                    lambda table: {"table": _digest([[[str(x) for x in v] for v in row] for row in table])}))
+    for half in (2, 3, 4):
+        L, r = filiform_algebra(2 * half - 1), inverse_bivector(filiform_cocycle(half))
+        out.append(({"op": "double_theta_check", "algebra": f"filiform_algebra({2 * half - 1}), inverse canonical r",
+                     "dim": 2 * half},
+                    lambda L=L, r=r: double_theta_check(L, r),
+                    lambda ds: {"double": _digest(sorted((list(p), sorted((k, str(c)) for k, c in comp.items()))
+                                                         for p, comp in ds.double.brackets.items()))}))
     return out
 
 

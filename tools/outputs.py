@@ -13,11 +13,25 @@ library answers on a fixed, seeded corpus:
   `hk_degeneracy_check(A, 2)` up to dim 4, on every stock commutative
   algebra, three non-local ones and 60 seeded monomial quotients of
   dim 1-12;
-- `center_basis`, the ascending central series and the centralizer of
-  the derived algebra of the stock Lie algebras and of H_1(A) for the
-  stock A, and `classify_six_dim` on the six-dimensional normal forms
-  (with the default and with a seeded complement of the centre) and on 12
-  seeded integer changes of basis of them;
+- `center_basis`, the ascending and descending central series, the
+  nilpotency class, the centralizer of the derived algebra, whether the
+  derived algebra, that centralizer and the span of the first two basis
+  vectors are abelian and ideals, the bracket span of those two vectors
+  with themselves and the centralizer, and the
+  table of t*G (`semidirect_coadjoint`) of the stock Lie algebras, of two
+  non-nilpotent ones and of H_1(A) for the stock A, and
+  `classify_six_dim` on the six-dimensional normal forms (with the default
+  and with a seeded complement of the centre) and on 12 seeded integer
+  changes of basis of them;
+- the flat symplectic tables of `flat_symplectic_structure` and
+  `curvature_vanishes` on the 2-dim affine algebra and the filiform
+  algebras of dim 4, 6 and 8 (each form at three scales), the
+  parallelism verdict of each table against every basis form of Z^2, and
+  `curvature_vanishes` on each table with one entry moved; `cybe_check`,
+  `double_theta_check` and `rational_structure_for_double` (on a seeded
+  integer lattice basis) on the filiform algebras of dim 2n = 4, 6, 8
+  with the inverse canonical bivector, and `cybe_check` on seeded skew
+  matrices;
 - the stdout document and exit code of every CLI entry point (15 simple
   commands, 5 `filiform` and 3 `symplectic` actions, `moment-map`,
   `units`, `anosov`, `charpoly`) on answered inputs and on malformed
@@ -32,8 +46,8 @@ library answers on a fixed, seeded corpus:
   one-entry no-candidates for each n = 3..8.
 
 With two checkouts, runs each in its own process and exits 0 if the two
-documents are equal, otherwise prints the first differing entry and
-exits 1.  Standard library only; nothing is written to disk.
+documents are equal, otherwise prints every differing entry of every
+section and exits 1.  Standard library only; nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -120,7 +134,7 @@ def _commalg_section() -> list[dict]:
 
 
 def _lie_section() -> list[dict]:
-    from nillat import classify, commalg, heisenberg, liealg
+    from nillat import classify, commalg, heisenberg, jsonio, liealg
     from nillat.matrix import Matrix
 
     algebras = [(f"heisenberg{k}", liealg.heisenberg_algebra(k)) for k in (1, 2, 3)]
@@ -132,6 +146,8 @@ def _lie_section() -> list[dict]:
     algebras += [(f"H1({name})", heisenberg.heisenberg_over(A, 1).algebra)
                  for name, A in (("dual", commalg.dual_numbers()), ("example6", commalg.example6_algebra()),
                                  ("Q[x]/x^4", commalg.truncated_polynomials(4)))]
+    algebras += [("affine2", liealg.LieAlgebra(2, {(0, 1): {1: 1}})),
+                 ("so3", liealg.LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}))]
     rng = random.Random(5)
     for t in range(12):
         name, L = sixes[t % len(sixes)]
@@ -149,9 +165,19 @@ def _lie_section() -> list[dict]:
         algebras.append((f"{name} conjugated {t}", liealg.LieAlgebra(6, table)))
     out = []
     for name, L in algebras:
+        derived = L.derived_basis()
+        cent = L.centralizer_basis(derived)
+        first = [[int(j == i) for j in range(L.dim)] for i in range(min(2, L.dim))]
         row = {"algebra": name, "center": _canon(L.center_basis()),
                "ascending": _canon(L.ascending_central_series()),
-               "centralizer_of_derived": _canon(L.centralizer_basis(L.derived_basis()))}
+               "descending": _canon(L.descending_central_series()),
+               "nilpotency_class": L.nilpotency_class() if L.is_nilpotent() else None,
+               "centralizer_of_derived": _canon(cent),
+               "abelian_ideal": [L.is_abelian_subspace(derived), L.is_ideal(derived),
+                                 L.is_abelian_subspace(cent), L.is_ideal(cent)],
+               "first_two": [L.is_ideal(first), L.is_abelian_subspace(first),
+                             _canon(L.bracket_span(first, first + cent))],
+               "semidirect_coadjoint": jsonio.dump_lie_algebra(liealg.semidirect_coadjoint(L))}
         if L.dim == 6 and name.startswith(("six", "h1_dual")):
             c = classify.classify_six_dim(L)
             row["classify"] = [c.family, c.d, _canon(c.witness_basis)]
@@ -159,6 +185,69 @@ def _lie_section() -> list[dict]:
                 c = classify.classify_six_dim(L, six_dim_complement(rng))
                 row["classify_seeded_complement"] = [c.family, c.d, _canon(c.witness_basis)]
         out.append(row)
+    return out
+
+
+def flat_cases() -> list[tuple]:
+    """(name, algebra, ideal, e, form): the affine algebra and the filiform algebras of dim 4, 6, 8 with
+    their abelian codimension-one ideal, each form at the scales 1, -2 and 3."""
+    from nillat import liealg, symplectic
+    from nillat.cocycles import AlternatingForm
+
+    aff = liealg.LieAlgebra(2, {(0, 1): {1: 1}})
+    bases = [("affine2", aff, [[0, 1]], [1, 0], AlternatingForm.from_upper_entries(aff, {(0, 1): 1}))]
+    for n in (2, 3, 4):
+        L = liealg.filiform_algebra(2 * n - 1)
+        ideal = [[int(j == i + 1) for j in range(2 * n)] for i in range(2 * n - 1)]
+        bases.append((f"filiform{2 * n}", L, ideal, [1] + [0] * (2 * n - 1), symplectic.filiform_cocycle(n)))
+    return [(f"{name} x{c}", L, ideal, e, form.scale(c)) for name, L, ideal, e, form in bases for c in (1, -2, 3)]
+
+
+def _symplectic_section() -> list[dict]:
+    from nillat import jsonio, liealg, symplectic
+    from nillat.cocycles import cocycle_space
+    from nillat.errors import NillatError
+    from nillat.matrix import Matrix
+
+    out = []
+    for name, L, ideal, e, form in flat_cases():
+        table = symplectic.flat_symplectic_structure(L, ideal, e, form)
+        parallel = []
+        for other in cocycle_space(L)[0]:
+            try:
+                symplectic._verify_flat_symplectic(L, other, table)
+                parallel.append("parallel")
+            except NillatError as exc:
+                parallel.append(str(exc))
+        moved = []
+        for i, j, k in ((0, 0, 1), (1, 0, 0), (L.dim - 1, 1, L.dim - 1)):
+            bent = [[list(v) for v in row] for row in table]
+            bent[i][j][k] += 1
+            moved.append(symplectic.curvature_vanishes(L, bent))
+        out.append({"flat": name, "table": _canon(table), "curvature_zero": symplectic.curvature_vanishes(L, table),
+                    "parallel_for_z2_basis": parallel, "curvature_with_entry_moved": moved})
+    rng = random.Random(23)
+    for n in (2, 3, 4):
+        L = liealg.filiform_algebra(2 * n - 1)
+        r = symplectic.inverse_bivector(symplectic.filiform_cocycle(n))
+        ds = symplectic.double_theta_check(L, r)
+        while True:
+            B = [[rng.randint(-2, 2) for _ in range(2 * n)] for _ in range(2 * n)]
+            if Matrix(B).det() != 0:
+                break
+        P, alg = symplectic.rational_structure_for_double(L, r, B)
+        skew = []
+        for _ in range(6):
+            m = [[0] * (2 * n) for _ in range(2 * n)]
+            for a in range(2 * n):
+                for b in range(a + 1, 2 * n):
+                    m[a][b] = rng.choice((0, 0, 1, -1, 2))
+                    m[b][a] = -m[a][b]
+            skew.append([m, symplectic.cybe_check(L, Matrix(m))])
+        out.append({"double": 2 * n, "cybe": symplectic.cybe_check(L, r), "table": jsonio.dump_lie_algebra(ds.double),
+                    "semidirect": jsonio.dump_lie_algebra(ds.semidirect), "theta": _canon(ds.theta_matrix),
+                    "lattice_log": B, "rational_basis": _canon(P), "rational_structure": jsonio.dump_lie_algebra(alg),
+                    "cybe_on_skew": skew})
     return out
 
 
@@ -257,6 +346,8 @@ def _cli_requests() -> list[list[str]]:
                                                                       [0, 0, 0, 1]]}),
         _j("double-theta", {"algebra": F4, "r": W4, "lattice_log": [[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1],
                                                                       [1, 0, 0, 1]]}),
+        _j("double-theta", {"algebra": F4, "r": W4, "lattice_log": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                                                                      [0, 0, 0, 1, 0]]}),
         _j("double-theta", {"algebra": F4, "r": [[0, 1], [-1, 0]]}),
         _j("double-theta", {"algebra": F4, "r": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}),
         _j("gamma111-aut", {"matrix": [[1, 5, 2], [2, -1, -1], [3, 2, 0]]}),
@@ -403,7 +494,7 @@ def _one(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     import nillat
 
-    return {"commalg": _commalg_section(), "lie": _lie_section(),
+    return {"commalg": _commalg_section(), "lie": _lie_section(), "symplectic": _symplectic_section(),
             "cli": _cli_section(), "errors": _error_section(), "intlattice": _intlattice_section()}
 
 
@@ -415,16 +506,18 @@ def _compare(parent: Path, change: Path) -> int:
             raise SystemExit(f"outputs failed on {checkout}:\n{proc.stderr}")
         docs.append(json.loads(proc.stdout))
     p, c = docs
+    status = 0
     for section in p:
-        if p[section] != c[section]:
-            for a, b in zip(p[section], c[section]):
-                if a != b:
-                    print(f"{section} differs:\n  parent {a}\n  change {b}")
-                    return 1
+        if p[section] == c[section]:
+            print(f"{section}: {len(p[section])} entries identical")
+            continue
+        status = 1
+        if len(p[section]) != len(c[section]):
             print(f"{section}: different lengths {len(p[section])} vs {len(c[section])}")
-            return 1
-        print(f"{section}: {len(p[section])} entries identical")
-    return 0
+        for i, (a, b) in enumerate(zip(p[section], c[section])):
+            if a != b:
+                print(f"{section} entry {i} differs:\n  parent {a}\n  change {b}")
+    return status
 
 
 def main() -> int:
