@@ -421,7 +421,7 @@ def _vectors(data, n, max_size):
 @settings(max_examples=100, deadline=None)
 @given(bracket_tables(), st.data())
 def test_bracket_matches_dense_oracle(L, data):
-    for x, y in zip(*[_vectors(data, L.dim, 3)] * 2):
+    for x, y in zip(_vectors(data, L.dim, 3), _vectors(data, L.dim, 3)):
         assert L.bracket(x, y) == dense_bracket(L, x, y)
     assert semidirect_coadjoint(L).brackets == dense_semidirect_coadjoint(L).brackets
 
