@@ -34,7 +34,7 @@ from .intlattice import (
     xgcd,
 )
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, complement_basis, parse_int, rref_basis, span_dim, span_equal, _unit
+from .matrix import Matrix, Q, complement_basis, parse_int, rref_basis, span_dim, span_equal, _frac, _unit
 from .quadratic import squarefree_part
 
 # -- squarefree arithmetic ---------------------------------------------------------
@@ -139,8 +139,8 @@ def _factor_skew_rank2(m, is_zero):
     g = list(m[q])
     alpha = m[p][q]
     f = [x / alpha for x in f]
-    for i in range(n):
-        for j in range(n):
+    for i in range(n):  # m is skew, so its upper triangle decides
+        for j in range(i + 1, n):
             recon = f[i] * g[j] - f[j] * g[i]
             if not is_zero(m[i][j] - recon):
                 raise PreconditionError("form does not have rank 2")
@@ -193,13 +193,21 @@ def classify_six_dim(L: LieAlgebra, complement: Sequence[Sequence] | None = None
     if complement is None:
         comp = complement_basis(center, 6)
     else:
-        comp = [list(map(Q, v)) for v in complement]
+        comp = [[_frac(x) for x in v] for v in complement]
         if len(comp) != 4 or span_dim(list(center) + comp) != 6:
             raise InputError("complement must be 4 vectors independent of the center")
-    # brackets of the complement, expressed in the center basis: slots 4 and 5
-    table = L.in_basis(Matrix.from_columns(comp + [z1, z2]))
-    eta1 = {pq: comp_[4] for pq, comp_ in table.items() if 4 in comp_}
-    eta2 = {pq: comp_[5] for pq, comp_ in table.items() if 5 in comp_}
+    # [c_p, c_q] lies in the derived ideal, which is the centre, so its
+    # coordinates in the RREF basis (z1, z2) are its entries at their pivots
+    piv1, piv2 = (next(t for t, x in enumerate(z) if x) for z in center)
+    br = L._sparse_bracket()
+    sparse_comp = [{t: x for t, x in enumerate(v) if x} for v in comp]
+    eta1, eta2 = {}, {}
+    for p, q in _PAIRS4:
+        bracket = br(sparse_comp[p], sparse_comp[q])
+        if piv1 in bracket:
+            eta1[p, q] = bracket[piv1]
+        if piv2 in bracket:
+            eta2[p, q] = bracket[piv2]
 
     a = _pf(eta1)
     c = _pf(eta2)
@@ -267,31 +275,43 @@ def classify_six_dim(L: LieAlgebra, complement: Sequence[Sequence] | None = None
         for j in range(2)
     ]
     witness = Matrix.from_columns(new_v + new_z)
-
-    got = L.in_basis(witness)
-    want = {
-        k: {kk: Q(vv) for kk, vv in comp_.items()}
-        for k, comp_ in normal_form_table(family, d).items()
-    }
-    if got != want:
-        raise StructuralError("witness verification failed")  # pragma: no cover
+    _verify_witness(L, witness, normal_form_table(family, d))
     return SixDimClassification(family, d, witness)
+
+
+def _verify_witness(L: LieAlgebra, witness: Matrix, table: dict[tuple[int, int], dict[int, int]]) -> None:
+    """Check that the columns w_0..w_5 of `witness` form a basis with [w_i, w_j] = sum_k table_ij^k w_k.
+
+    With rank 6 this is the same as `L.in_basis(witness) == table`, without
+    inverting the witness.
+    """
+    if witness.rank() != 6:
+        raise StructuralError("witness verification failed")
+    br = L._sparse_bracket()
+    cols = [{t: x for t, x in enumerate(col) if x} for col in witness.transpose().data]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            want: dict[int, Fraction] = {}
+            for k, c in table.get((i, j), {}).items():
+                for t, x in cols[k].items():
+                    want[t] = want.get(t, 0) + c * x
+            if br(cols[i], cols[j]) != {t: x for t, x in want.items() if x}:
+                raise StructuralError("witness verification failed")
 
 
 def _table_coefficient_forms(table: dict, covectors: list[list[Fraction]]) -> tuple[dict, dict]:
     """Coefficient 2-forms of e5 and e6 per the table, in complement coordinates."""
     out = []
     for slot in (4, 5):
-        mat = [[Q(0)] * 4 for _ in range(4)]
+        form = dict.fromkeys(_PAIRS4, Q(0))
         for (i, j), comp_ in table.items():
             c = Q(comp_.get(slot, 0))
             if c == 0:
                 continue
             fi, fj = covectors[i], covectors[j]
-            for p in range(4):
-                for q in range(4):
-                    mat[p][q] += c * (fi[p] * fj[q] - fi[q] * fj[p])
-        out.append({pq: mat[pq[0]][pq[1]] for pq in _PAIRS4 if mat[pq[0]][pq[1]] != 0})
+            for p, q in _PAIRS4:
+                form[p, q] += c * (fi[p] * fj[q] - fi[q] * fj[p])
+        out.append({pq: v for pq, v in form.items() if v != 0})
     return out[0], out[1]
 
 

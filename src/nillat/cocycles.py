@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import InputError, PreconditionError
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac, _reduced_rows
+from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac, _reduced_rows, _subtract
 
 
 class AlternatingForm:
@@ -188,34 +188,32 @@ def left_symmetry_defect(algebra: LieAlgebra, table: list[list[list[Fraction]]])
 
     Torsion-free: e_i e_j - e_j e_i = [e_i, e_j].  Left-symmetric: the
     associator (e_i e_j) e_k - e_i (e_j e_k) is symmetric in i, j.  Returns
-    "torsion" or "associator" for the first identity that fails.
+    "torsion" or "associator" for the first identity that fails.  Both are
+    antisymmetric in (i, j), so only i < j is checked; brackets come from
+    `algebra.brackets` and products from the nonzero entries of the table.
     """
     n = algebra.dim
     for i in range(n):
-        for j in range(n):
-            if [a - b for a, b in zip(table[i][j], table[j][i])] != algebra.basis_bracket(i, j):
+        for j in range(i + 1, n):
+            comp = algebra.brackets.get((i, j), {})
+            if any(a - b != comp.get(k, 0) for k, (a, b) in enumerate(zip(table[i][j], table[j][i]))):
                 return "torsion"
-    right = [[row[k] for row in table] for k in range(n)]  # right[k][a] = e_a e_k
+    sparse = [[{m: x for m, x in enumerate(v) if x} for v in row] for row in table]
     for i in range(n):
         for j in range(i + 1, n):
-            br = algebra.basis_bracket(i, j)
+            comp = algebra.brackets.get((i, j), {})
             for k in range(n):
-                # (e_i e_j - e_j e_i) e_k = e_i (e_j e_k) - e_j (e_i e_k)
-                lhs = _combine(br, right[k])
-                rhs = [a - b for a, b in zip(_combine(table[j][k], table[i]), _combine(table[i][k], table[j]))]
-                if lhs != rhs:
+                # (e_i e_j - e_j e_i) e_k - e_i (e_j e_k) + e_j (e_i e_k) = 0
+                defect: dict[int, Fraction] = {}
+                for a, c in comp.items():
+                    _subtract(defect, -c, sparse[a][k])
+                for b, c in sparse[j][k].items():
+                    _subtract(defect, c, sparse[i][b])
+                for b, c in sparse[i][k].items():
+                    _subtract(defect, -c, sparse[j][b])
+                if defect:
                     return "associator"
     return None
-
-
-def _combine(coeffs: Sequence[Fraction], vecs: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """sum_a coeffs[a] vecs[a], skipping zero coefficients."""
-    out = [Q(0)] * len(vecs[0])
-    for c, v in zip(coeffs, vecs):
-        if c != 0:
-            for m, x in enumerate(v):
-                out[m] += c * x
-    return out
 
 
 def product_from_table(table: list[list[list[Fraction]]], x: Sequence, y: Sequence) -> list[Fraction]:

@@ -10,10 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, StructuralError
-from .matrix import (
-    Matrix, Q, rref_basis, sparse_kernel_basis, _frac, _reduced_rows, _subtract,
-    _unit,  # re-exported: tests/test_acceptance.py imports it from this module
-)
+from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac, _reduced_rows, _subtract
 
 
 class LieAlgebra:

@@ -24,7 +24,10 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -62,15 +65,28 @@ class Matrix:
         self.rows = len(rows)
         self.cols = w
 
+    @staticmethod
+    def _of(rows: list[list[Fraction]]) -> "Matrix":
+        """The matrix on `rows`, nonempty `Fraction` lists of one length that it now owns; nothing is checked."""
+        m = object.__new__(Matrix)
+        m.data = rows
+        m.rows = len(rows)
+        m.cols = len(rows[0])
+        return m
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise InputError("matrix needs at least one row and one column")
+        return Matrix._of([[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[Q(0)] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise InputError("matrix needs at least one row and one column")
+        return Matrix._of([[Q(0)] * cols for _ in range(rows)])
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
@@ -99,7 +115,7 @@ class Matrix:
         return [self.data[i][j] for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._of([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     @property
     def is_square(self) -> bool:
@@ -119,27 +135,25 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("matrix shapes differ")
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix._of([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("matrix shapes differ")
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix._of([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
+        return Matrix._of([[-a for a in row] for row in self.data])
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix([[c * a for a in row] for row in self.data])
+        return Matrix._of([[c * a for a in row] for row in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError("matrix shapes incompatible for product")
         bt = other.transpose().data
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        )
+        return Matrix._of([[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data])
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         v = [_frac(x) for x in vec]
@@ -155,7 +169,7 @@ class Matrix:
         order = sorted(pivots)
         data = [[pivots[pc].get(c, Q(0)) for c in range(self.cols)] for pc in order]
         data += [[Q(0)] * self.cols for _ in range(self.rows - len(order))]
-        return Matrix(data), order
+        return Matrix._of(data), order
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -189,29 +203,38 @@ class Matrix:
         return det
 
     def inverse(self) -> "Matrix":
+        """Row i of the inverse is columns n.. of pivot row i of the reduced [M | I]."""
         if not self.is_square:
             raise PreconditionError("inverse of a non-square matrix")
         n = self.rows
-        aug = [row[:] + [Q(1) if i == j else Q(0) for j in range(n)]
-               for i, row in enumerate(self.data)]
-        M = Matrix(aug)
-        R, pivots = M.rref()
-        if pivots != list(range(n)):
+        rows = self._sparse_rows()
+        for i, row in enumerate(rows):
+            row[n + i] = Q(1)
+        pivots = _reduced_rows(rows)
+        if any(c not in pivots for c in range(n)):
             raise PreconditionError("matrix is singular")
-        return Matrix([row[n:] for row in R.data])
+        return Matrix._of([[pivots[i].get(n + j, Q(0)) for j in range(n)] for i in range(n)])
 
     def solve(self, rhs: Sequence) -> list[Fraction]:
-        """One exact solution of M x = rhs; raises if the system is inconsistent."""
+        """One exact solution of M x = rhs, free variables 0; raises if the system is inconsistent.
+
+        The right-hand side is column n of the reduced [M | rhs]: a pivot
+        there means inconsistency, otherwise each pivot row gives x_pivot.
+        """
         b = [_frac(x) for x in rhs]
         if len(b) != self.rows:
             raise InputError("right-hand side has wrong length")
-        aug = Matrix([row[:] + [b[i]] for i, row in enumerate(self.data)])
-        R, pivots = aug.rref()
-        if self.cols in pivots:
+        n = self.cols
+        rows = self._sparse_rows()
+        for row, x in zip(rows, b):
+            if x:
+                row[n] = x
+        pivots = _reduced_rows(rows)
+        if n in pivots:
             raise PreconditionError("linear system is inconsistent")
-        x = [Q(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][self.cols]
+        x = [Q(0)] * n
+        for pc, p in pivots.items():
+            x[pc] = p.get(n, Q(0))
         return x
 
     def charpoly(self) -> list[Fraction]:

@@ -9,8 +9,9 @@ solve and form read, the dense commutative-algebra products, trace form and
 socle, the filiform decision path as it was before it became integer-only,
 the Smith normal form and Sylvester rows as they were before they skipped
 zero entries, the dense central-series step and change of basis of the
-structure constants, and the dense unit-vector bracket paths of `liealg`
-and `symplectic`, to compare the new paths' outputs against.
+structure constants, the dense unit-vector bracket paths of `liealg`
+and `symplectic`, and the augmented-matrix inverse and solve with the dense
+left-symmetry check, to compare the new paths' outputs against.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from itertools import combinations, product as iproduct
 from math import isqrt
 
 from nillat.classify import FiliformLatticeSpec, _sylvester_solve_unitriangular, theta_invariant
-from nillat.cocycles import AlternatingForm, _pair_index, left_symmetry_defect, product_from_table
+from nillat.cocycles import AlternatingForm, _pair_index, product_from_table
 from nillat.errors import InputError, PreconditionError, StructuralError
 from nillat.intlattice import IntRows, SnfResult, mat_identity, mat_mul, xgcd
 from nillat.liealg import LieAlgebra
@@ -732,7 +733,7 @@ def dense_ascending_central_series(algebra):
 
 def dense_in_basis(algebra, basis_cols):
     """{(i, j): {k: c}}, i < j: the brackets of the columns of basis_cols in that basis."""
-    inv = basis_cols.inverse()
+    inv = dense_inverse(basis_cols)
     n = algebra.dim
     table = {}
     for i in range(n):
@@ -753,9 +754,9 @@ def dense_in_basis(algebra, basis_cols):
 # dense `apply` per lam(e_i) and a bracket [e, e_j] per table entry, and its
 # n^3 parallelism check over the dense form matrix; the curvature from dense
 # product matrices; and the double D(G, r) with two dense `ad` matrices per
-# dual bracket.  They use `dense_bracket` and, as the library did, the
-# library's `Matrix` inverse and solve, `ad`, `basis_bracket`,
-# `left_symmetry_defect` and `product_from_table`.
+# dual bracket.  They use `dense_bracket`, `dense_left_symmetry_defect` and,
+# as the library did, the library's `Matrix` inverse and solve, `ad`,
+# `basis_bracket` and `product_from_table`.
 
 
 def dense_bracket_span(algebra, basis_a, basis_b):
@@ -849,7 +850,7 @@ def dense_flat_table(algebra, ideal_basis, complement_vector, form):
 
 
 def dense_verify_flat_symplectic(algebra, form, table):
-    defect = left_symmetry_defect(algebra, table)
+    defect = dense_left_symmetry_defect(algebra, table)
     if defect == "torsion":
         raise StructuralError("product has torsion")
     if defect == "associator":
@@ -936,3 +937,65 @@ def dense_double(algebra, r):
     for x_idx in range(n):
         theta_cols.append(_unit(2 * n, n + x_idx))
     return table, Matrix.from_columns(theta_cols)
+
+
+# -- the augmented-matrix inverse and solve, the dense left-symmetry check -----------
+#
+# Copies (renamed) of `Matrix.inverse` and `Matrix.solve` as they were before
+# they reduced the sparse rows directly: one augmented `Matrix`, its dense
+# `rref`, the answer read off the reduced columns; and of
+# `cocycles.left_symmetry_defect` before it read the stored brackets: the
+# torsion of every pair (i, j) and dense combinations of whole table rows.
+
+
+def dense_inverse(m):
+    if not m.is_square:
+        raise PreconditionError("inverse of a non-square matrix")
+    n = m.rows
+    aug = [row[:] + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(m.data)]
+    R, pivots = Matrix(aug).rref()
+    if pivots != list(range(n)):
+        raise PreconditionError("matrix is singular")
+    return Matrix([row[n:] for row in R.data])
+
+
+def dense_solve(m, rhs):
+    b = [Q(x) for x in rhs]
+    if len(b) != m.rows:
+        raise InputError("right-hand side has wrong length")
+    R, pivots = Matrix([row[:] + [b[i]] for i, row in enumerate(m.data)]).rref()
+    if m.cols in pivots:
+        raise PreconditionError("linear system is inconsistent")
+    x = [Q(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = R.data[r][m.cols]
+    return x
+
+
+def _combine(coeffs, vecs):
+    """sum_a coeffs[a] vecs[a], skipping zero coefficients."""
+    out = [Q(0)] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c != 0:
+            for m, x in enumerate(v):
+                out[m] += c * x
+    return out
+
+
+def dense_left_symmetry_defect(algebra, table):
+    n = algebra.dim
+    for i in range(n):
+        for j in range(n):
+            if [a - b for a, b in zip(table[i][j], table[j][i])] != algebra.basis_bracket(i, j):
+                return "torsion"
+    right = [[row[k] for row in table] for k in range(n)]  # right[k][a] = e_a e_k
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = algebra.basis_bracket(i, j)
+            for k in range(n):
+                # (e_i e_j - e_j e_i) e_k = e_i (e_j e_k) - e_j (e_i e_k)
+                lhs = _combine(br, right[k])
+                rhs = [a - b for a, b in zip(_combine(table[j][k], table[i]), _combine(table[i][k], table[j]))]
+                if lhs != rhs:
+                    return "associator"
+    return None

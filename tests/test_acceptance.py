@@ -58,7 +58,8 @@ from nillat.heisenberg import (
     heisenberg_over,
     hk_degeneracy_check,
 )
-from nillat.liealg import _unit, heisenberg_algebra, filiform_algebra, semidirect_coadjoint, six_dim_quadratic_structure
+from nillat.liealg import heisenberg_algebra, filiform_algebra, semidirect_coadjoint, six_dim_quadratic_structure
+from nillat.matrix import _unit
 from nillat.quadratic import fundamental_unit
 from nillat.classify import squarefree_part
 from nillat.symplectic import (

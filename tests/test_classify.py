@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from helpers import filiform_isomorphic_bounded_oracle
+from helpers import dense_in_basis, filiform_isomorphic_bounded_oracle
 from nillat import classify, intlattice
 from nillat.classify import (
     FiliformLatticeSpec,
@@ -119,6 +119,61 @@ def test_classification_witness_transforms_to_normal_form():
 def test_classifier_rejects_wrong_shape():
     with pytest.raises(StructuralError):
         classify_six_dim(filiform_algebra(5))
+
+
+def test_classifier_rejects_inexact_complement_entries():
+    L = six_dim_quadratic_structure(2)
+    comp = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]
+    assert classify_six_dim(L, [[str(x) for x in row] for row in comp]).key() == ("H1_COMPLEX", 2)
+    for bad in (0.1, "x", None):
+        broken = [row[:] for row in comp]
+        broken[2][4] = bad
+        with pytest.raises(InputError, match="exact rational"):
+            classify_six_dim(L, broken)
+
+
+NORMAL_FORMS = [(six_dim_quadratic_structure(d), "H1_COMPLEX" if d > 0 else "H1_RxR", d)
+                for d in (-5, -2, -1, 2, 3, 5, 7)] + [(h1_dual_structure(), "H1_DUAL", None)]
+
+
+@pytest.mark.parametrize("L, family, d", NORMAL_FORMS)
+def test_witness_check_rejects_mutations(L, family, d):
+    from nillat.classify import _verify_witness, normal_form_table
+
+    rng = random.Random(31 if d is None else d)
+    comp = []
+    while len(comp) != 4 or len(rref_basis(comp + [[0] * 4 + [1, 0], [0] * 5 + [1]])) != 6:
+        comp = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)]
+    c = classify_six_dim(L, comp)
+    assert (c.family, c.d) == (family, d)
+    table = normal_form_table(family, d)
+    _verify_witness(L, c.witness_basis, table)
+    # one entry changed, four times in each column: rejected exactly when the change of basis
+    # by the inverse says it is no witness (adding a central vector to w_0..w_3, for one, gives
+    # another witness)
+    rejected = 0
+    for j in range(24):
+        data = c.witness_basis.copy_data()
+        data[rng.randrange(6)][j % 6] += rng.choice((1, -1, F(1, 2)))
+        mutated = Matrix(data)
+        if mutated.rank() == 6 and dense_in_basis(L, mutated) == table:
+            _verify_witness(L, mutated, table)
+            continue
+        rejected += 1
+        with pytest.raises(StructuralError, match="witness verification failed"):
+            _verify_witness(L, mutated, table)
+    assert rejected >= 12
+    # two equal columns; the last one, (w_4, w_4, w_5, w_5, 0, 0), has only zero brackets and
+    # matches the table, so only the rank rejects it
+    for pattern in ([0, 0, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4], [0, 1, 5, 3, 4, 5], [4, 4, 5, 5, None, None]):
+        data = [[row[k] if k is not None else F(0) for k in pattern] for row in c.witness_basis.data]
+        with pytest.raises(StructuralError, match="witness verification failed"):
+            _verify_witness(L, Matrix(data), table)
+    # the normal-form table of another class
+    for other_family, other_d in (("H1_DUAL", None), ("H1_COMPLEX", 3), ("H1_RxR", -1)):
+        if (other_family, other_d) != (family, d):
+            with pytest.raises(StructuralError, match="witness verification failed"):
+                _verify_witness(L, c.witness_basis, normal_form_table(other_family, other_d))
 
 
 def test_commensurability():

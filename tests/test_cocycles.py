@@ -13,7 +13,7 @@ from nillat.cocycles import (
 )
 from nillat.errors import PreconditionError
 from nillat.liealg import LieAlgebra, abelian_algebra, filiform_algebra, heisenberg_algebra
-from nillat.liealg import _unit
+from nillat.matrix import _unit
 from nillat.symplectic import filiform_cocycle
 
 

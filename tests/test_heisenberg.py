@@ -25,8 +25,8 @@ from nillat.heisenberg import (
     heisenberg_over,
     hk_degeneracy_check,
 )
-from nillat.liealg import LieAlgebra, _unit
-from nillat.matrix import rref_basis, span_dim
+from nillat.liealg import LieAlgebra
+from nillat.matrix import _unit, rref_basis, span_dim
 
 
 def test_algebra_validation():

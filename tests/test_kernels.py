@@ -18,7 +18,7 @@ normal form with its sparse row and column updates, and the Sylvester rows
 of the filiform isomorphism test.  The sparse bracket of `LieAlgebra` and
 everything read through it (bracket spans, ideal and abelian tests,
 centralizers, the descending central series, t*G), the flat symplectic
-table with its parallelism check, the curvature test and the double
+table with its parallelism and left-symmetry checks, the curvature test and the double
 D(G, r) are compared with dense copies of the earlier unit-vector code, on
 filiform algebras, on integer changes of basis of them and of the
 six-dimensional structures, on 2-step algebras and on flat and CYBE inputs.
@@ -44,6 +44,7 @@ from helpers import (
     dense_flat_table,
     dense_is_abelian_subspace,
     dense_is_ideal,
+    dense_left_symmetry_defect,
     dense_semidirect_coadjoint,
     dense_verify_flat_symplectic,
     dense_ascending_central_series,
@@ -65,7 +66,7 @@ from helpers import (
 )
 from nillat import classify
 from nillat.classify import FiliformLatticeSpec, filiform_normalize
-from nillat.cocycles import AlternatingForm, cocycle_space, left_symmetric_product
+from nillat.cocycles import AlternatingForm, cocycle_space, left_symmetric_product, left_symmetry_defect
 from nillat.commalg import CommAlgebra, frobenius_quadratic_algebra, monomial_quotient, radical_and_socle
 from nillat.errors import InputError, StructuralError
 from nillat.heisenberg import heisenberg_over
@@ -481,6 +482,35 @@ def test_flat_structure_matches_dense_oracles(half_dim, scale, seed):
     for other in cocycle_space(L)[0]:
         assert (_parallel_message(symplectic._verify_flat_symplectic, L, other, table)
                 == _parallel_message(dense_verify_flat_symplectic, L, other, table))
+
+
+
+@pytest.mark.parametrize("half_dim, scale", [(1, F(1)), (2, F(1)), (2, F(-2)), (3, F(1, 3)), (4, F(3))])
+def test_left_symmetry_defect_matches_dense_oracle(half_dim, scale):
+    """The flat table and the product w(ab, c) = -w(b, [a, c]) of the affine algebra or a filiform
+    algebra, and seeded bends of them: one entry moved (mostly torsion), or e_i e_j and e_j e_i
+    moved alike (torsion kept, so the associator decides)."""
+    rng = random.Random(40 + 7 * half_dim)
+    n = 2 * half_dim
+    if half_dim == 1:
+        L = LieAlgebra(2, {(0, 1): {1: 1}})
+        form = AlternatingForm.from_upper_entries(L, {(0, 1): scale})
+    else:
+        L, form = filiform_algebra(n - 1), symplectic.filiform_cocycle(half_dim).scale(scale)
+    ideal = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    verdicts = []
+    for table in (symplectic.flat_symplectic_structure(L, ideal, [1] + [0] * (n - 1), form),
+                  left_symmetric_product(L, form)):
+        assert left_symmetry_defect(L, table) is dense_left_symmetry_defect(L, table) is None
+        for t in range(24):
+            bent = [[list(v) for v in row] for row in table]
+            i, j, k, c = rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.choice((1, -1, F(1, 2)))
+            bent[i][j][k] += c
+            if t % 2 and i != j:
+                bent[j][i][k] += c
+            verdicts.append(left_symmetry_defect(L, bent))
+            assert verdicts[-1] == dense_left_symmetry_defect(L, bent)
+    assert {"torsion", "associator"} <= set(verdicts)
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nillat.errors import PreconditionError
+from helpers import dense_inverse, dense_solve, rand_fraction
+from nillat.errors import InputError, NillatError, PreconditionError
 from nillat.matrix import (
     Matrix,
     complement_basis,
@@ -102,3 +104,83 @@ def test_log_inverts_exp():
     n = Matrix([[0, 0, 0], [3, 0, 0], [-2, 5, 0]])
     g = nilpotent_exp(n)
     assert nilpotent_log(g) == n
+
+
+def _outcome(fn, *args):
+    """fn(*args) as ("ok", value), or the class and message of the library error it raised."""
+    try:
+        return "ok", fn(*args)
+    except NillatError as exc:
+        return type(exc), str(exc)
+
+
+def _rational_rows(rng, rows, cols, rank=None):
+    """Seeded rational rows; with `rank`, rows beyond it are combinations of the first `rank`."""
+    out = [[rand_fraction(rng) if rng.random() < 0.7 else F(0) for _ in range(cols)] for _ in range(rows)]
+    if rank is not None:
+        for i in range(rank, rows):
+            ks = [rng.randint(-2, 2) for _ in range(rank)]
+            out[i] = [sum((k * out[t][c] for t, k in enumerate(ks)), F(0)) for c in range(cols)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inverse_and_solve_match_augmented_oracle(n):
+    """Invertible, singular, under- and over-determined, consistent and inconsistent systems:
+    the same answer, or the same error class and message, as the augmented-matrix rref."""
+    rng = random.Random(100 + n)
+    cases = []
+    for _ in range(6):
+        cases.append(_rational_rows(rng, n, n))                                # mostly invertible
+        cases.append(_rational_rows(rng, n, n, rank=rng.randint(0, n - 1)))   # singular
+        cases.append(_rational_rows(rng, n, n + rng.randint(1, 3)))           # under-determined
+        cases.append(_rational_rows(rng, n + rng.randint(1, 3), n))           # over-determined
+        cases.append(_rational_rows(rng, n + 1, n + 1, rank=n))               # rank-deficient, wider
+    inverted, solved = 0, set()
+    for rows in cases:
+        m = Matrix(rows)
+        got, want = _outcome(m.inverse), _outcome(dense_inverse, m)
+        assert got == want
+        inverted += got[0] == "ok"
+        if got[0] == "ok":
+            assert all(type(x) is F for row in got[1].data for x in row)
+            assert m * got[1] == Matrix.identity(n)
+        x0 = [rand_fraction(rng) for _ in range(m.cols)]
+        consistent = m.apply(x0)
+        drawn = [rand_fraction(rng) for _ in range(m.rows)]
+        for rhs in (consistent, drawn, [0] * m.rows):
+            got, want = _outcome(m.solve, rhs), _outcome(dense_solve, m, rhs)
+            assert got == want
+            solved.add(got[0])
+            if got[0] == "ok":
+                assert m.apply(got[1]) == [F(x) for x in rhs]
+        assert _outcome(m.solve, consistent)[0] == "ok"
+        for wrong in ([1] * (m.rows + 1), [1] * (m.rows - 1)):
+            assert _outcome(m.solve, wrong) == _outcome(dense_solve, m, wrong) == (InputError, "right-hand side has wrong length")
+    assert inverted >= 3 and solved == {"ok", PreconditionError}
+    singular = Matrix(_rational_rows(rng, n, n, rank=n - 1))
+    assert _outcome(singular.inverse) == (PreconditionError, "matrix is singular")
+    if n > 1:
+        assert _outcome(Matrix(_rational_rows(rng, n, n - 1)).inverse) == (PreconditionError, "inverse of a non-square matrix")
+        incons = Matrix([[1] * n, [2] * n])
+        assert _outcome(incons.solve, [1, 3]) == (PreconditionError, "linear system is inconsistent")
+
+
+def test_internal_results_own_their_rows():
+    a = Matrix([[1, 2, 0], [3, 4, 1], [0, 1, 1]])
+    b = Matrix([["1/2", 0, 1], [0, 2, -1], [1, 1, 1]])
+    before = (a.copy_data(), b.copy_data())
+    results = [a.transpose(), a + b, a - b, -a, a.scale(3), a * b, a.rref()[0], a.inverse(),
+               Matrix.identity(3), Matrix.zero(3, 3), Matrix.from_columns(b.data), a.inverse().inverse()]
+    inputs = {id(row) for m in (a, b) for row in m.data}
+    for r in results:
+        assert (r.rows, r.cols) == (len(r.data), len(r.data[0]))
+        assert all(type(x) is F for row in r.data for x in row)
+        assert not inputs & {id(row) for row in r.data}
+        assert len({id(row) for row in r.data}) == r.rows
+        for row in r.data:
+            row[0] += 7
+    assert (a.copy_data(), b.copy_data()) == before
+    for bad in (lambda: Matrix.identity(0), lambda: Matrix.zero(0, 2), lambda: Matrix.zero(2, 0)):
+        with pytest.raises(InputError, match="at least one row"):
+            bad()

@@ -8,14 +8,13 @@ from nillat.cocycles import AlternatingForm, cocycle_space
 from nillat.errors import InputError, PreconditionError
 from nillat.liealg import (
     LieAlgebra,
-    _unit,
     abelian_algebra,
     filiform_algebra,
     free_two_step_algebra,
     heisenberg_algebra,
     semidirect_coadjoint,
 )
-from nillat.matrix import Matrix, rref_basis
+from nillat.matrix import Matrix, _unit, rref_basis
 from nillat.symplectic import (
     bch,
     curvature_vanishes,

@@ -1,4 +1,4 @@
-"""Layer ladder for the cocycle-space solve, the socle computation, the filiform integer layer and the Lie kernels.
+"""Layer ladder for the cocycle-space solve, the socle computation, the filiform integer layer, the Lie kernels and exact elimination.
 
     python3 tools/ladder.py [CHECKOUT]
     python3 tools/ladder.py PARENT CHANGE > BENCH_filiform.json
@@ -27,8 +27,8 @@ of the wall time in ms:
 - `LieAlgebra.ascending_central_series` on `filiform_algebra(n)`,
   n = 3..12 (dim 4..13): one centre modulo a subspace per term;
 - `classify_six_dim` on `six_dim_quadratic_structure(d)`, d = -5, -2, -1,
-  2, 3, 5, 7, each with a fixed seeded complement of its centre: two
-  changes of basis of the structure constants per call, on dense columns;
+  2, 3, 5, 7, each with a fixed seeded complement of its centre: the
+  brackets of the complement, the witness construction and its check;
 - `LieAlgebra.descending_central_series` on `filiform_algebra(n)`,
   n = 3..16 (dim 4..17): one bracket span per term;
 - `flat_symplectic_structure` on the 2-dim affine algebra and the
@@ -36,7 +36,13 @@ of the wall time in ms:
   unscaled cases of `tools/outputs.py`);
 - `double_theta_check` on the filiform algebra of dim 2n = 4, 6, 8 with
   the inverse of its canonical form: the double, t*G, both Jacobi checks
-  and the theta isomorphism check.
+  and the theta isomorphism check;
+- `Matrix.inverse` and `Matrix.solve` (with a seeded integer right-hand
+  side) on a seeded invertible integer matrix, n = 2..12, entries in
+  [-9, 9];
+- `anosov.char_poly_pair` on seeded unimodular 3 x 3 integer matrices, the
+  product of 2, 4, 8 and 16 seeded elementary matrices: two `charpoly`
+  calls and one `Matrix.inverse` per call.
 
 dim Z^2 (or the certificate kind, the kernel dimension, the radical and
 socle dimensions, the series dimensions, or a digest of the system, of the
@@ -105,7 +111,9 @@ WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, 
         "six_dim_quadratic_structure(d) with a seeded complement, d=-5,-2,-1,2,3,5,7; of the bracket "
         "kernel: descending_central_series of filiform_algebra(n), n=3..16, flat_symplectic_structure on "
         "the affine algebra and the filiform algebras of dim 4, 6, 8, and double_theta_check on the "
-        "filiform algebra of dim 2n=4, 6, 8 with the inverse canonical bivector; wall time in ms")
+        "filiform algebra of dim 2n=4, 6, 8 with the inverse canonical bivector; of exact elimination: "
+        "Matrix.inverse and Matrix.solve on a seeded invertible integer matrix, n=2..12, and "
+        "anosov.char_poly_pair on seeded unimodular 3x3 matrices; wall time in ms")
 
 
 def _time(fn):
@@ -155,6 +163,7 @@ def _sylvester_system(classify, s1, s2) -> tuple[list, list]:
 def rungs() -> list[tuple[dict, object, object]]:
     """(label, call, describe): describe(call()) says what the call computed."""
     from nillat import classify
+    from nillat.anosov import char_poly_pair
     from nillat.cocycles import cocycle_space
     from nillat.commalg import radical_and_socle, truncated_polynomials
     from nillat.heisenberg import heisenberg_over, hk_degeneracy_check
@@ -231,6 +240,28 @@ def rungs() -> list[tuple[dict, object, object]]:
                     lambda L=L, r=r: double_theta_check(L, r),
                     lambda ds: {"double": _digest(sorted((list(p), sorted((k, str(c)) for k, c in comp.items()))
                                                          for p, comp in ds.double.brackets.items()))}))
+    for n in range(2, 13):
+        rng = random.Random(700 + n)
+        while True:
+            M = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            if M.det() != 0:
+                break
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        label = {"algebra": f"seeded invertible integer {n}x{n}", "dim": n, "matrix": _digest(M.to_int_rows())}
+        out.append(({"op": "Matrix.inverse", **label}, M.inverse,
+                    lambda inv: {"answer": _digest([[str(x) for x in row] for row in inv.data])}))
+        out.append(({"op": "Matrix.solve", **label}, lambda M=M, rhs=rhs: M.solve(rhs),
+                    lambda x: {"answer": _digest([str(c) for c in x])}))
+    for steps in (2, 4, 8, 16):
+        rng, b = random.Random(800 + steps), [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(steps):  # b <- b (I + q E_ij), i != j
+            i, j = rng.sample(range(3), 2)
+            q = rng.choice((1, -1, 2, -2))
+            for row in b:
+                row[j] += q * row[i]
+        out.append(({"op": "char_poly_pair", "algebra": f"unimodular 3x3, {steps} elementary factors", "dim": 3,
+                     "matrix": _digest(b)},
+                    lambda b=b: char_poly_pair(b), lambda pq: {"answer": _digest(pq)}))
     return out
 
 

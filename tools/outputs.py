@@ -1,4 +1,4 @@
-"""Exact outputs of the commutative-algebra, Heisenberg, centre and integer-lattice paths, on one checkout or a pair.
+"""Exact outputs of the commutative-algebra, Heisenberg, centre, integer-lattice and matrix paths, on one checkout or a pair.
 
     python3 tools/outputs.py [CHECKOUT]
     python3 tools/outputs.py PARENT CHANGE
@@ -43,7 +43,13 @@ library answers on a fixed, seeded corpus:
   `integer_kernel_basis`, `hermite_row_basis` and `quotient_invariants` of
   a seeded sublattice; and `filiform_isomorphic` (answer and witness) with
   `central_quotients` of both specs on 6 seeded conjugated yes-pairs and 6
-  one-entry no-candidates for each n = 3..8.
+  one-entry no-candidates for each n = 3..8;
+- `Matrix.inverse`, `Matrix.solve` (on a consistent right-hand side, on a
+  drawn one and on one of the wrong length), `rank`, `det` and `charpoly`
+  on 120 seeded rational matrices of 1-8 rows and columns, square, wide
+  and tall, some rows combinations of the rows above; an error answers
+  with its class and message ("matrix is singular", "linear system is
+  inconsistent", the shape errors).
 
 With two checkouts, runs each in its own process and exits 0 if the two
 documents are equal, otherwise prints every differing entry of every
@@ -490,12 +496,44 @@ def _intlattice_section() -> list[dict]:
     return out
 
 
+def _matrix_section() -> list[dict]:
+    from nillat.errors import NillatError
+    from nillat.matrix import Matrix
+
+    def answer(fn, *args):
+        try:
+            return _canon(fn(*args))
+        except NillatError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    rng = random.Random(29)
+    out = []
+    for _ in range(120):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        if rng.random() < 0.5:
+            cols = rows
+        m = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) if rng.random() < 0.7 else Fraction(0)
+              for _ in range(cols)] for _ in range(rows)]
+        for i in range(1, rows):  # some rows a combination of the rows above
+            if rng.random() < 0.2:
+                ks = [rng.randint(-2, 2) for _ in range(i)]
+                m[i] = [sum((k * m[t][c] for t, k in enumerate(ks)), Fraction(0)) for c in range(cols)]
+        M = Matrix(m)
+        x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
+        drawn = [rng.randint(-5, 5) for _ in range(rows)]
+        out.append({"matrix": _canon(m), "inverse": answer(M.inverse),
+                    "solve": [answer(M.solve, M.apply(x0)), answer(M.solve, drawn), answer(M.solve, drawn + [1])],
+                    "rank": M.rank(), "det": answer(M.det), "charpoly": answer(M.charpoly)})
+    return out
+
+
 def _one(checkout: Path) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     import nillat
 
     return {"commalg": _commalg_section(), "lie": _lie_section(), "symplectic": _symplectic_section(),
-            "cli": _cli_section(), "errors": _error_section(), "intlattice": _intlattice_section()}
+            "cli": _cli_section(), "errors": _error_section(), "intlattice": _intlattice_section(),
+            "matrix": _matrix_section()}
 
 
 def _compare(parent: Path, change: Path) -> int:
