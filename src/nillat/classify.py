@@ -34,7 +34,7 @@ from .intlattice import (
     xgcd,
 )
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, complement_basis, parse_int, rref_basis, span_dim, span_equal, _frac, _unit
+from .matrix import Matrix, Q, complement_basis, parse_int, rref_basis, span_dim, span_equal, _frac, _sparse
 from .quadratic import squarefree_part
 
 # -- squarefree arithmetic ---------------------------------------------------------
@@ -200,7 +200,7 @@ def classify_six_dim(L: LieAlgebra, complement: Sequence[Sequence] | None = None
     # coordinates in the RREF basis (z1, z2) are its entries at their pivots
     piv1, piv2 = (next(t for t, x in enumerate(z) if x) for z in center)
     br = L._sparse_bracket()
-    sparse_comp = [{t: x for t, x in enumerate(v) if x} for v in comp]
+    sparse_comp = [_sparse(v, 6) for v in comp]
     eta1, eta2 = {}, {}
     for p, q in _PAIRS4:
         bracket = br(sparse_comp[p], sparse_comp[q])
@@ -288,7 +288,7 @@ def _verify_witness(L: LieAlgebra, witness: Matrix, table: dict[tuple[int, int],
     if witness.rank() != 6:
         raise StructuralError("witness verification failed")
     br = L._sparse_bracket()
-    cols = [{t: x for t, x in enumerate(col) if x} for col in witness.transpose().data]
+    cols = [_sparse(col, 6) for col in witness.transpose().data]
     for i in range(6):
         for j in range(i + 1, 6):
             want: dict[int, Fraction] = {}
@@ -320,11 +320,7 @@ def _rank1_basis(eta_a: dict, eta_b: dict) -> list[list[Fraction]]:
     m = _form_to_skew(eta_b, Q(0), lambda x: x)
     f, g = _factor_skew_rank2(m, lambda x: x == 0)
     # complete {f, g} to a covector basis with standard covectors
-    rows = [f, g]
-    for j in range(4):
-        e = _unit(4, j)
-        if span_dim(rows + [e]) > span_dim(rows):
-            rows.append(e)
+    rows = [f, g] + complement_basis([f, g], 4)
     p_hat, q_hat = rows[2], rows[3]
     # coordinates of eta_a in the wedge basis of (f, g, p, q)
     B = Matrix(rows)  # covector change: new = B * old-dual... solve via wedge matching

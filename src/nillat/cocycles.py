@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import InputError, PreconditionError
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac, _reduced_rows, _subtract
+from .matrix import Matrix, Q, sparse_kernel_basis, _frac, _reduced_rows, _sparse, _subtract
 
 
 class AlternatingForm:
@@ -133,19 +133,16 @@ def cocycle_space(algebra: LieAlgebra) -> tuple[list[AlternatingForm], list[Alte
     ]
     kernel = sparse_kernel_basis(rows, len(pairs))
 
-    def to_form(coords: Sequence[Fraction]) -> AlternatingForm:
-        return AlternatingForm.from_upper_entries(
-            algebra, {pairs[t]: c for t, c in enumerate(coords) if c != 0}
-        )
-
-    z2 = [to_form(v) for v in kernel]
-
     # lam([e_a, e_b]) for each coordinate functional lam
-    cob_vecs = [[Q(0)] * len(pairs) for _ in range(n)]
+    cob_rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for ab, comp in algebra.brackets.items():
         for lam, c in comp.items():
-            cob_vecs[lam][index[ab]] = c
-    b2 = [to_form(v) for v in rref_basis(cob_vecs)]
+            cob_rows[lam][index[ab]] = c
+    cob = _reduced_rows(cob_rows)
+    z2, b2 = (
+        [AlternatingForm.from_upper_entries(algebra, {pairs[t]: c for t, c in v.items()}) for v in vecs]
+        for vecs in (kernel, [cob[p] for p in sorted(cob)])
+    )
     return z2, b2
 
 
@@ -163,16 +160,18 @@ def left_symmetric_product(algebra: LieAlgebra, form: AlternatingForm) -> list[l
     if not form.is_nondegenerate():
         raise PreconditionError("form is degenerate")
     n = algebra.dim
-    m = form.matrix
-    w, wt = m.data, m.transpose()
+    w = form.rows()
+    # W is nondegenerate, so each x below is (W^T)^-1 rhs, with the inverse's rows read sparsely
+    wt_inv = [_sparse(row, n) for row in form.matrix.transpose().inverse().data]
+    br = algebra._sparse_bracket()
     table: list[list[list[Fraction]]] = []
     for i in range(n):
-        ad_i = [algebra.basis_bracket(i, k) for k in range(n)]
+        ad_i = [br({i: Q(1)}, {k: Q(1)}) for k in range(n)]
         row = []
         for j in range(n):
             # w(x, e_k) = -w(e_j, [e_i, e_k]), i.e. W^T x = rhs
-            rhs = [-sum(w[j][m] * c for m, c in enumerate(br) if c != 0) for br in ad_i]
-            row.append(wt.solve(rhs))
+            rhs = [-sum((w[j].get(m, 0) * c for m, c in b.items()), Q(0)) for b in ad_i]
+            row.append([sum((a * rhs[m] for m, a in r.items()), Q(0)) for r in wt_inv])
         table.append(row)
 
     defect = left_symmetry_defect(algebra, table)
@@ -198,7 +197,7 @@ def left_symmetry_defect(algebra: LieAlgebra, table: list[list[list[Fraction]]])
             comp = algebra.brackets.get((i, j), {})
             if any(a - b != comp.get(k, 0) for k, (a, b) in enumerate(zip(table[i][j], table[j][i]))):
                 return "torsion"
-    sparse = [[{m: x for m, x in enumerate(v) if x} for v in row] for row in table]
+    sparse = [[_sparse(v, n) for v in row] for row in table]
     for i in range(n):
         for j in range(i + 1, n):
             comp = algebra.brackets.get((i, j), {})

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError, StructuralError
-from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac
+from .matrix import Matrix, Q, sparse_kernel_basis, _dense, _frac, _rref, _sparse
 
 
 class CommAlgebra:
@@ -57,22 +57,25 @@ class CommAlgebra:
                 out[k] = out.get(k, 0) + a * c
         return {k: c for k, c in out.items() if c}
 
+    def _mul(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """x y on {index: coefficient} vectors, zeros left out."""
+        out: dict[int, Fraction] = {}
+        for j, b in y.items():
+            for k, c in self._times(x, j).items():
+                out[k] = out.get(k, 0) + b * c
+        return {k: c for k, c in out.items() if c}
+
     def multiply(self, x: Sequence, y: Sequence) -> list[Fraction]:
-        xv = _nonzero(x)
-        out = [Q(0)] * self.dim
-        for j, b in _nonzero(y).items():
-            for k, c in self._times(xv, j).items():
-                out[k] += b * c
-        return out
+        return _dense(self._mul(_sparse(x, self.dim), _sparse(y, self.dim)), self.dim)
 
     def mult_operator(self, x: Sequence) -> Matrix:
-        xv = _nonzero(x)
+        xv = _sparse(x, self.dim)
         cols = [self._times(xv, j) for j in range(self.dim)]
         return Matrix([[col.get(k, Q(0)) for col in cols] for k in range(self.dim)])
 
     def _validate(self) -> None:
         n = self.dim
-        unit = _nonzero(self.unit)
+        unit = _sparse(self.unit, self.dim)
         for j in range(n):
             if self._times(unit, j) != {j: 1}:
                 raise StructuralError("unit element fails the unit axiom")
@@ -84,16 +87,12 @@ class CommAlgebra:
                         raise StructuralError(f"associativity fails at ({i},{j},{k})")
 
     def is_nilpotent_element(self, x: Sequence) -> bool:
-        v = [_frac(a) for a in x]
+        xv = v = _sparse(x, self.dim)
         for _ in range(self.dim + 1):
-            if all(c == 0 for c in v):
+            if not v:
                 return True
-            v = self.multiply(v, x)
+            v = self._mul(v, xv)
         return False
-
-
-def _nonzero(v: Sequence) -> dict[int, Fraction]:
-    return {i: a for i, a in enumerate(map(_frac, v)) if a}
 
 
 @dataclass
@@ -113,16 +112,16 @@ def radical_and_socle(algebra: CommAlgebra) -> SocleReport:
     tau = [sum(algebra._product(m, j).get(j, 0) for j in range(n)) for m in range(n)]
     trace_rows = [{j: sum(c * tau[m] for m, c in algebra._product(i, j).items()) for j in range(n)}
                   for i in range(n)]
-    radical = rref_basis(sparse_kernel_basis(trace_rows, n))
+    radical = _rref(sparse_kernel_basis(trace_rows, n), n)
     for v in radical:
         if not algebra.is_nilpotent_element(v):
             raise StructuralError("trace-form kernel contains a non-nilpotent")  # pragma: no cover
     # one row per (r, k): the coefficient of e_k in r e_j, over j
     rows = []
-    for r in map(_nonzero, radical):
+    for r in (_sparse(v, n) for v in radical):
         cols = [algebra._times(r, j) for j in range(n)]
         rows.extend({j: col[k] for j, col in enumerate(cols) if k in col} for k in range(n))
-    socle = rref_basis(sparse_kernel_basis(rows, n))
+    socle = _rref(sparse_kernel_basis(rows, n), n)
     is_local = n - len(radical) == 1
     return SocleReport(radical, socle, is_local)
 

@@ -18,7 +18,7 @@ from .cocycles import AlternatingForm, cocycle_space
 from .commalg import CommAlgebra, SocleReport, radical_and_socle
 from .errors import InputError, PreconditionError
 from .liealg import LieAlgebra
-from .matrix import Matrix, Q, rref_basis, span_dim, sparse_kernel_basis, _unit
+from .matrix import Matrix, Q, span_dim, sparse_kernel_basis, _rref, _sparse, _subtract, _unit
 
 
 @dataclass
@@ -159,10 +159,6 @@ def _dual_pairing(base: CommAlgebra, socle_vec: Sequence[Fraction]) -> list[list
     return [[base._product(s, t).get(piv, 0) * inv for t in range(base.dim)] for s in range(base.dim)]
 
 
-def _apply(functional: Sequence[Fraction], vec: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(functional, vec) if a and b), Q(0))
-
-
 @dataclass
 class DegeneracyCertificate:
     degenerate: bool
@@ -185,8 +181,9 @@ def hk_degeneracy_check(base: CommAlgebra, k: int) -> DegeneracyCertificate:
     # the g-block is the last one, so a form pairing it nontrivially has an entry (i, j), j >= g_0
     if any(j >= H.g_index(0) for form in z2 for _, j in form.entries):
         return DegeneracyCertificate(False, "witness")  # pragma: no cover
+    # unit vectors at increasing indices: already an RREF basis
     g_block = [_unit(H.algebra.dim, H.g_index(t)) for t in range(base.dim)]
-    return DegeneracyCertificate(True, "common-kernel", kernel_basis=rref_basis(g_block))
+    return DegeneracyCertificate(True, "common-kernel", kernel_basis=g_block)
 
 
 def generic_degeneracy_search(
@@ -206,23 +203,17 @@ def generic_degeneracy_search(
         return DegeneracyCertificate(True, "parity")
     z2, _ = cocycle_space(algebra)
     if not z2:
-        return DegeneracyCertificate(True, "common-kernel",
-                                     kernel_basis=rref_basis([_unit(n, 0)]))
+        return DegeneracyCertificate(True, "common-kernel", kernel_basis=[_unit(n, 0)])
     # common kernel of all basis cocycles
     common = sparse_kernel_basis([row for form in z2 for row in form.rows()], n)
     if common:
-        return DegeneracyCertificate(True, "common-kernel", kernel_basis=rref_basis(common))
+        return DegeneracyCertificate(True, "common-kernel", kernel_basis=_rref(common, n))
     if blocks is not None:
         u_basis, w_basis = blocks
         if span_dim(u_basis) > n - span_dim(w_basis):
-            # w(u, v) = flat(u) . v: one covector per (form, u)
-            if all(
-                _apply(fu, v) == 0
-                for form in z2
-                for fu in map(form.flat, u_basis)
-                for v in w_basis
-            ):
-                return DegeneracyCertificate(True, "orthogonality", kernel_basis=rref_basis(u_basis))
+            us, ws = ([_sparse(v, n) for v in basis] for basis in blocks)
+            if all(_pairs_to_zero(form, us, ws) for form in z2):
+                return DegeneracyCertificate(True, "orthogonality", kernel_basis=_rref(us, n))
     # witness search: simple combinations first
     for form in z2:
         if form.is_nondegenerate():
@@ -251,26 +242,25 @@ def generic_degeneracy_search(
     return DegeneracyCertificate(True, "grid")
 
 
+def _pairs_to_zero(form: AlternatingForm, us: list[dict[int, Fraction]], ws: list[dict[int, Fraction]]) -> bool:
+    """w(u, v) = 0 for every sparse u in us and v in ws, read off the rows w(e_i, .)."""
+    rows = form.rows()
+    for u in us:
+        fu: dict[int, Fraction] = {}  # w(u, .) = sum_i u_i w(e_i, .)
+        for i, a in u.items():
+            _subtract(fu, -a, rows[i])
+        if any(sum(c * v[j] for j, c in fu.items() if j in v) for v in ws):
+            return False
+    return True
+
+
 def h1_blocks_for_search(base: CommAlgebra) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     """(U, W) = (S g, N e + N f + A g) used by the orthogonality certificate."""
     H = heisenberg_over(base, 1)
     rep = radical_and_socle(base)
     l = base.dim
-    n = H.algebra.dim
-    u_basis = []
-    for s in rep.socle:
-        v = [Q(0)] * n
-        for t, c in enumerate(s):
-            v[H.g_index(t)] = c
-        u_basis.append(v)
-    w_basis = []
-    for r in rep.radical:
-        ve = [Q(0)] * n
-        vf = [Q(0)] * n
-        for t, c in enumerate(r):
-            ve[H.e_index(0, t)] = c
-            vf[H.f_index(0, t)] = c
-        w_basis.extend([ve, vf])
-    for t in range(l):
-        w_basis.append(_unit(n, H.g_index(t)))
-    return rref_basis(u_basis), rref_basis(w_basis)
+    e0, f0, g0 = H.e_index(0, 0), H.f_index(0, 0), H.g_index(0)
+    u_rows = [{g0 + t: c for t, c in _sparse(s, l).items()} for s in rep.socle]
+    w_rows = [{off + t: c for t, c in _sparse(r, l).items()} for r in rep.radical for off in (e0, f0)]
+    w_rows += [{g0 + t: Q(1)} for t in range(l)]
+    return _rref(u_rows, H.algebra.dim), _rref(w_rows, H.algebra.dim)

@@ -7,10 +7,10 @@ Jacobi identity is a checkable property (`validate`), not an assumption.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError, StructuralError
-from .matrix import Matrix, Q, rref_basis, sparse_kernel_basis, _frac, _reduced_rows, _subtract
+from .matrix import Matrix, Q, sparse_kernel_basis, _dense, _frac, _reduced_rows, _rref, _sparse, _subtract
 
 
 class LieAlgebra:
@@ -53,10 +53,7 @@ class LieAlgebra:
         return out
 
     def bracket(self, x: Sequence, y: Sequence) -> list[Fraction]:
-        out = [Q(0)] * self.dim
-        for k, c in self._sparse_bracket()(_sparse(x, self.dim), _sparse(y, self.dim)).items():
-            out[k] = c
-        return out
+        return _dense(self._sparse_bracket()(_sparse(x, self.dim), _sparse(y, self.dim)), self.dim)
 
     def _sparse_bracket(self):
         """The bracket on {index: Fraction} vectors, zeros left out.
@@ -175,9 +172,9 @@ class LieAlgebra:
         return _rref(self.brackets.values(), self.dim)
 
     def center_basis(self) -> list[list[Fraction]]:
-        return self._center_modulo([])
+        return [_dense(v, self.dim) for v in self._center_modulo([])]
 
-    def _center_modulo(self, cur: Sequence[Sequence]) -> list[list[Fraction]]:
+    def _center_modulo(self, cur: Sequence[Sequence]) -> list[dict[int, Fraction]]:
         """{x : [x, e_j] in span(cur) for all j}: the centre of L modulo span(cur)."""
         # rows[j][k] is the coefficient of e_k in [x, e_j] = sum_i x_i [e_i, e_j]
         rows: dict[int, dict[int, dict[int, Fraction]]] = {}
@@ -187,7 +184,7 @@ class LieAlgebra:
                 rows.setdefault(i, {}).setdefault(k, {})[j] = -c
         # v mod span(cur) is v - sum_p v_p R_p over the reduced pivot rows R_p:
         # coordinate k of it is v_k - sum_p R_p[k] v_p, and 0 on the pivots
-        pivots = _reduced_rows({c: x for c, x in enumerate(v) if x} for v in cur)
+        pivots = _reduced_rows(_sparse(v, self.dim) for v in cur)
         reduced = []
         for by_k in rows.values():
             out = {k: dict(row) for k, row in by_k.items() if k not in pivots}
@@ -207,7 +204,7 @@ class LieAlgebra:
                 for k, c in col.items():
                     by_k.setdefault(k, {})[i] = c
             rows.extend(by_k.values())
-        return rref_basis(sparse_kernel_basis(rows, self.dim))
+        return _rref(sparse_kernel_basis(rows, self.dim), self.dim)
 
     def bracket_span(self, basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> list[list[Fraction]]:
         br = self._sparse_bracket()
@@ -241,9 +238,9 @@ class LieAlgebra:
 
     def ascending_central_series(self) -> list[list[list[Fraction]]]:
         """C_1 = Z(L), C_{r+1}/C_r = Z(L/C_r); stops when stable."""
-        series = [rref_basis(self.center_basis())]
+        series = [_rref(self._center_modulo([]), self.dim)]
         while True:
-            nxt = rref_basis(self._center_modulo(series[-1]))
+            nxt = _rref(self._center_modulo(series[-1]), self.dim)
             if len(nxt) == len(series[-1]):
                 return series
             series.append(nxt)
@@ -256,19 +253,6 @@ class LieAlgebra:
 
     def is_nilpotent(self) -> bool:
         return not self.descending_central_series()[-1]
-
-
-def _sparse(v: Sequence, dim: int) -> dict[int, Fraction]:
-    """The nonzero coordinates of v, a vector of Q^dim."""
-    if len(v) != dim:
-        raise InputError("vector length does not match algebra dimension")
-    return {k: c for k, c in enumerate(map(_frac, v)) if c}
-
-
-def _rref(rows: Iterable[Mapping[int, Fraction]], dim: int) -> list[list[Fraction]]:
-    """The RREF basis of the span of sparse rows, as dense lists (what `rref_basis` returns)."""
-    pivots = _reduced_rows(rows)
-    return [[pivots[p].get(c, Q(0)) for c in range(dim)] for p in sorted(pivots)]
 
 
 # -- reports and the public operations -------------------------------------------

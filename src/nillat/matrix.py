@@ -1,10 +1,11 @@
 """Exact rational matrices and the linear algebra the library runs on.
 
 Entries are `fractions.Fraction`; nothing here ever rounds.  `Matrix` holds
-desk-scale dense matrices (<= ~25 x 25).  Its RREF and kernels, and the
-large sparse systems such as the O(n^3) x O(n^2) cocycle equations (through
-`sparse_kernel_basis`), go through one sparse elimination, `_reduced_rows`,
-which keeps rows as {col: value} dicts.
+desk-scale dense matrices (<= ~25 x 25).  Its RREF and kernels, the subspace
+helpers and the large sparse systems such as the O(n^3) x O(n^2) cocycle
+equations (`sparse_kernel_basis`) go through one sparse elimination,
+`_reduced_rows`.  Inside the library a vector is a row {col: value} without
+zeros (`_sparse` and `_dense` convert); public functions return dense lists.
 """
 
 from __future__ import annotations
@@ -40,6 +41,20 @@ def parse_int(x, what: str) -> int:
     if not integral:
         raise InputError(f"{what} {x!r} is not an integer")
     return int(x)
+
+
+def _sparse(v: Sequence, dim: int) -> dict[int, Fraction]:
+    """The nonzero coordinates of v, a vector of Q^dim; `_frac` runs only when some entry is not a `Fraction`."""
+    if len(v) != dim:
+        raise InputError("vector length does not match algebra dimension")
+    if not set(map(type, v)) <= {Fraction}:
+        v = [_frac(c) for c in v]
+    return {k: c for k, c in enumerate(v) if c}
+
+
+def _dense(v: Mapping[int, Fraction], dim: int) -> list[Fraction]:
+    """The sparse vector v of Q^dim as a coordinate list."""
+    return [v.get(c, Q(0)) for c in range(dim)]
 
 
 def _unit(dim: int, j: int) -> list[Fraction]:
@@ -165,9 +180,9 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row-echelon form and the pivot column list."""
-        pivots = _reduced_rows(self._sparse_rows())
+        pivots = _reduced_rows([_sparse(row, self.cols) for row in self.data])
         order = sorted(pivots)
-        data = [[pivots[pc].get(c, Q(0)) for c in range(self.cols)] for pc in order]
+        data = [_dense(pivots[pc], self.cols) for pc in order]
         data += [[Q(0)] * self.cols for _ in range(self.rows - len(order))]
         return Matrix._of(data), order
 
@@ -176,10 +191,8 @@ class Matrix:
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right kernel {x : M x = 0}, one vector per free column."""
-        return sparse_kernel_basis(self._sparse_rows(), self.cols)
-
-    def _sparse_rows(self) -> list[dict[int, Fraction]]:
-        return [{c: x for c, x in enumerate(row) if x} for row in self.data]
+        kernel = sparse_kernel_basis([_sparse(row, self.cols) for row in self.data], self.cols)
+        return [_dense(v, self.cols) for v in kernel]
 
     def det(self) -> Fraction:
         if not self.is_square:
@@ -207,7 +220,7 @@ class Matrix:
         if not self.is_square:
             raise PreconditionError("inverse of a non-square matrix")
         n = self.rows
-        rows = self._sparse_rows()
+        rows = [_sparse(row, self.cols) for row in self.data]
         for i, row in enumerate(rows):
             row[n + i] = Q(1)
         pivots = _reduced_rows(rows)
@@ -225,7 +238,7 @@ class Matrix:
         if len(b) != self.rows:
             raise InputError("right-hand side has wrong length")
         n = self.cols
-        rows = self._sparse_rows()
+        rows = [_sparse(row, self.cols) for row in self.data]
         for row, x in zip(rows, b):
             if x:
                 row[n] = x
@@ -281,23 +294,20 @@ def _reduced_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int,
     return pivots
 
 
-def sparse_kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x in Q^ncols : sum_c row[c] x_c = 0 for every row}, rows as {col: value}.
+def sparse_kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of {x in Q^ncols : sum_c row[c] x_c = 0 for every row}, rows and vectors as {col: value}.
 
-    One vector per free column of the reduced echelon form, in ascending
-    order; with no rows it is the standard basis.
+    One vector per free column fc of the reduced echelon form, in ascending
+    order: 1 at fc and -p[fc] at the pivot of each pivot row p with an entry
+    there; with no rows it is the standard basis.
     """
     pivots = _reduced_rows(rows)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for pc, p in pivots.items():
-            v[pc] = -p.get(fc, Q(0))
-        basis.append(v)
-    return basis
+    basis = {fc: {fc: Q(1)} for fc in range(ncols) if fc not in pivots}
+    for pc, p in pivots.items():
+        for fc, x in p.items():
+            if fc in basis:
+                basis[fc][pc] = -x
+    return list(basis.values())
 
 
 def _subtract(r: dict[int, Fraction], f: Fraction, p: Mapping[int, Fraction]) -> None:
@@ -313,27 +323,45 @@ def _subtract(r: dict[int, Fraction], f: Fraction, p: Mapping[int, Fraction]) ->
 # -- subspaces ----------------------------------------------------------------
 
 
+def _rref(rows: Iterable[Mapping[int, Fraction]], dim: int) -> list[list[Fraction]]:
+    """The RREF basis of the span of sparse rows of Q^dim, as dense lists (what `rref_basis` returns)."""
+    pivots = _reduced_rows(rows)
+    return [_dense(pivots[p], dim) for p in sorted(pivots)]
+
+
+def _span_rows(vectors: Iterable[Sequence], dim: int | None = None) -> tuple[list[dict[int, Fraction]], int | None]:
+    """The nonzero vectors as sparse rows and their one length (`dim` if given), every entry checked rational first."""
+    vecs = [[_frac(x) for x in v] for v in vectors]
+    rows = []
+    for v in vecs:
+        row = _sparse(v, len(v))
+        if row:
+            if dim is None:
+                dim = len(v)
+            if len(v) != dim:
+                raise InputError("ragged matrix rows")
+            rows.append(row)
+    return rows, dim
+
+
 def rref_basis(vectors: Iterable[Sequence]) -> list[list[Fraction]]:
     """Canonical (RREF) basis of the span of the given vectors."""
-    vecs = [[_frac(x) for x in v] for v in vectors]
-    vecs = [v for v in vecs if any(x != 0 for x in v)]
-    if not vecs:
-        return []
-    R, pivots = Matrix(vecs).rref()
-    return [R.data[i] for i in range(len(pivots))]
+    rows, dim = _span_rows(vectors)
+    return _rref(rows, dim) if rows else []
 
 
 def span_dim(vectors: Iterable[Sequence]) -> int:
-    return len(rref_basis(vectors))
+    return len(_reduced_rows(_span_rows(vectors)[0]))
 
 
 def in_span(vector: Sequence, basis: Sequence[Sequence]) -> bool:
     v = [_frac(x) for x in vector]
-    if all(x == 0 for x in v):
+    if not any(v):
         return True
     if not basis:
         return False
-    return span_dim(list(basis) + [v]) == span_dim(basis)
+    rows, _ = _span_rows(list(basis) + [v])  # v, nonzero, is the last row
+    return len(_reduced_rows(rows)) == len(_reduced_rows(rows[:-1]))
 
 
 def span_equal(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
@@ -341,15 +369,18 @@ def span_equal(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool
 
 
 def complement_basis(basis: Sequence[Sequence], dim: int) -> list[list[Fraction]]:
-    """Standard basis vectors completing `basis` to a basis of Q^dim."""
-    cur = [list(map(_frac, v)) for v in basis]
-    out = []
-    for j in range(dim):
-        e = _unit(dim, j)
-        if not in_span(e, cur):
-            cur.append(e)
-            out.append(e)
-    return out
+    """Standard basis vectors completing `basis` to a basis of Q^dim: the first e_j not in the span so far, greedily.
+
+    e_j is not in span(basis, e_0, ..., e_j-1) exactly when some x in the
+    annihilator K of `basis` has x_0 = ... = x_j-1 = 0 and x_j != 0, that
+    is, when j is a pivot column of the RREF of K.  So one kernel and one
+    reduction give all of them.
+    """
+    vecs = [[_frac(x) for x in v] for v in basis]
+    if dim < 1:
+        return []
+    annihilator = sparse_kernel_basis(_span_rows(vecs, dim)[0], dim)
+    return [_unit(dim, j) for j in sorted(_reduced_rows(annihilator))]
 
 
 # -- nilpotent exponentials -----------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Sequence
 from .cocycles import AlternatingForm, left_symmetry_defect
 from .errors import InputError, PreconditionError, StructuralError
 from .liealg import LieAlgebra, filiform_algebra, semidirect_coadjoint
-from .matrix import Matrix, Q, in_span, rref_basis, span_dim, _frac
+from .matrix import Matrix, Q, in_span, rref_basis, span_dim, sparse_kernel_basis, _frac, _rref, _sparse
 from .multipoly import Poly, poly_vector, vec_is_zero
 
 # -- the canonical filiform cocycle ---------------------------------------------------
@@ -53,21 +53,20 @@ class MomentMapPoly:
         return [p.substitute(vals) for p in self.components]
 
 
-def _ad_matrix_poly(algebra: LieAlgebra, x: list[Poly]) -> list[list[Poly]]:
-    n = algebra.dim
-    zero = Poly(x[0].arity, {})
-    m = [[zero for _ in range(n)] for _ in range(n)]
+def _adstar_apply(algebra: LieAlgebra, x: list[Poly], mu: list[Poly]) -> list[Poly]:
+    """(ad*_x mu)_j = -mu([x, e_j]) = -sum_k mu_k [x, e_j]_k, over the stored brackets.
+
+    A stored [e_i, e_j] = sum_k c_k e_k puts x_i [e_i, e_j] into [x, e_j] and
+    -x_j [e_i, e_j] into [x, e_i].
+    """
+    zero = Poly(mu[0].arity, {})
+    out = [zero] * len(mu)
     for (i, j), comp in algebra.brackets.items():
-        for k, c in comp.items():
-            m[k][j] = m[k][j] + c * x[i]
-            m[k][i] = m[k][i] - c * x[j]
-    return m
-
-
-def _adstar_apply(ad: list[list[Poly]], mu: list[Poly]) -> list[Poly]:
-    """(ad*_x mu)(e_j) = -mu([x, e_j]) = -(ad^T mu)_j."""
-    n = len(ad)
-    return [-sum((ad[i][j] * mu[i] for i in range(n)), Poly(mu[0].arity, {})) for j in range(n)]
+        m = sum((c * mu[k] for k, c in comp.items() if not mu[k].is_zero()), zero)
+        if not m.is_zero():
+            out[j] = out[j] - x[i] * m
+            out[i] = out[i] + x[j] * m
+    return out
 
 
 def _bracket_poly(algebra: LieAlgebra, x: list[Poly], y: list[Poly]) -> list[Poly]:
@@ -94,16 +93,15 @@ def moment_map(algebra: LieAlgebra, form: AlternatingForm) -> MomentMapPoly:
 
 def _moment_components(algebra: LieAlgebra, form: AlternatingForm, x: list[Poly]) -> list[Poly]:
     n = algebra.dim
-    arity = x[0].arity
-    zero = Poly(arity, {})
-    w = form.matrix
-    # w(x, e_j) = sum_i x_i w[i][j]
-    term = [sum((w.data[i][j] * x[i] for i in range(n)), zero) for j in range(n)]
-    ad = _ad_matrix_poly(algebra, x)
+    # w(x, e_j) = sum_i x_i w(e_i, e_j)
+    term = [Poly(x[0].arity, {})] * n
+    for (i, j), c in form.entries.items():
+        term[j] = term[j] + c * x[i]
+        term[i] = term[i] - c * x[j]
     out = list(term)
     k = 1
     while True:
-        term = _adstar_apply(ad, term)
+        term = _adstar_apply(algebra, x, term)
         if vec_is_zero(term):
             break
         k += 1
@@ -115,12 +113,11 @@ def _moment_components(algebra: LieAlgebra, form: AlternatingForm, x: list[Poly]
 
 def _coadjoint_exp(algebra: LieAlgebra, x: list[Poly], mu: list[Poly]) -> list[Poly]:
     """Ad*_{exp x} mu = e^{ad*_x} mu."""
-    ad = _ad_matrix_poly(algebra, x)
     out = list(mu)
     term = list(mu)
     k = 0
     while True:
-        term = _adstar_apply(ad, term)
+        term = _adstar_apply(algebra, x, term)
         if vec_is_zero(term):
             break
         k += 1
@@ -256,12 +253,9 @@ def orthogonal_subalgebra(
     """H-perp = {x : w(x, h) = 0 for all h in H} as an RREF basis."""
     if not form.is_nondegenerate():
         raise PreconditionError("form must be symplectic")
-    rows = [form.flat(h) for h in subspace]
-    rows = [r for r in rows if any(c != 0 for c in r)]
-    if not rows:
-        return Matrix.identity(algebra.dim).copy_data()
-    # w(x, h) = -w(h, x): kernel of the matrix with rows w(h, .)
-    return rref_basis(Matrix(rows).kernel_basis())
+    n = algebra.dim
+    # w(x, h) = -w(h, x): kernel of the rows w(h, .); with none it is the standard basis
+    return _rref(sparse_kernel_basis([_sparse(form.flat(h), n) for h in subspace], n), n)
 
 
 # -- the Example-5 intersection analysis ---------------------------------------------------
@@ -322,7 +316,7 @@ def cybe_check(algebra: LieAlgebra, r: Matrix) -> bool:
     if r.transpose() != r.scale(-1):
         raise InputError("bivector matrix must be skew-symmetric")
     n = algebra.dim
-    cols = [{a: x for a, x in enumerate(r.column(b)) if x} for b in range(n)]
+    cols = [_sparse(r.column(b), n) for b in range(n)]
     bracket = algebra._sparse_bracket()
     br = {(b, c): bracket(cols[b], cols[c]) for b, c in combinations(range(n), 2)}
     return all(

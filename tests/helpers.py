@@ -4,27 +4,30 @@ These deliberately avoid the library's own linear algebra: plain-list
 Gaussian elimination and direct definitional evaluation, so a bug in the
 production path cannot hide inside its own verification; every bracket in
 them is `dense_bracket`, one pass over the whole stored table.  The
-exceptions are the last six sections, which keep the dense cocycle-space
+exceptions are the last seven sections, which keep the dense cocycle-space
 solve and form read, the dense commutative-algebra products, trace form and
 socle, the filiform decision path as it was before it became integer-only,
 the Smith normal form and Sylvester rows as they were before they skipped
 zero entries, the dense central-series step and change of basis of the
 structure constants, the dense unit-vector bracket paths of `liealg`
-and `symplectic`, and the augmented-matrix inverse and solve with the dense
-left-symmetry check, to compare the new paths' outputs against.
+and `symplectic`, the augmented-matrix inverse and solve with the dense
+left-symmetry check, and the dense subspace helpers and moment map, to
+compare the new paths' outputs against.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import isqrt
+from math import factorial, isqrt
 
 from nillat.classify import FiliformLatticeSpec, _sylvester_solve_unitriangular, theta_invariant
 from nillat.cocycles import AlternatingForm, _pair_index, product_from_table
 from nillat.errors import InputError, PreconditionError, StructuralError
 from nillat.intlattice import IntRows, SnfResult, mat_identity, mat_mul, xgcd
 from nillat.liealg import LieAlgebra
-from nillat.matrix import Matrix, rref_basis, span_dim
+from nillat.matrix import Matrix, _frac, rref_basis, span_dim
+from nillat.multipoly import Poly, poly_vector, vec_is_zero
 from nillat.quadratic import RingElement, ring_of_integers
+from nillat.symplectic import bch
 
 Q = Fraction
 
@@ -444,12 +447,6 @@ def dense_validate(algebra):
                     raise StructuralError(f"associativity fails at ({i},{j},{k})")
 
 
-def dense_rref_basis(vectors):
-    """RREF basis of the span, through `rref_inplace`."""
-    work = [[Q(x) for x in v] for v in vectors]
-    return work[:len(rref_inplace(work))]
-
-
 def dense_radical_and_socle(algebra):
     """(radical, socle, is_local): the trace-form kernel and its annihilator."""
     n = algebra.dim
@@ -763,13 +760,9 @@ def dense_bracket_span(algebra, basis_a, basis_b):
     return dense_rref_basis([dense_bracket(algebra, a, b) for a in basis_a for b in basis_b])
 
 
-def _dense_in_span(v, basis):
-    return len(dense_rref_basis(list(basis) + [v])) == len(dense_rref_basis(basis))
-
-
 def dense_is_ideal(algebra, subspace):
     units = [_unit(algebra.dim, j) for j in range(algebra.dim)]
-    return all(_dense_in_span(v, subspace) for v in dense_bracket_span(algebra, units, subspace))
+    return all(dense_in_span(v, subspace) for v in dense_bracket_span(algebra, units, subspace))
 
 
 def dense_is_abelian_subspace(algebra, subspace):
@@ -999,3 +992,96 @@ def dense_left_symmetry_defect(algebra, table):
                 if lhs != rhs:
                     return "associator"
     return None
+
+
+# -- the dense subspace layer and moment map ---------------------------------------------
+#
+# Copies (renamed) of `rref_basis`, `in_span` and `complement_basis` as they
+# were before they ran on sparse rows: the same validation (`_frac` on every
+# entry, zero vectors dropped, then one dense `Matrix` that rejects ragged
+# rows), here eliminated by `rref_inplace`, and the greedy complement with one
+# span test per unit vector.  And of the moment map before it walked the
+# stored brackets and form entries: the dense n x n matrix of polynomials
+# ad_x, (ad*_x mu)_j = -(ad^T mu)_j over all of it, and w(x, .) from the dense
+# `form.matrix`; the series and the identity around them are as in the
+# library, with its `bch`.
+
+
+def dense_rref_basis(vectors):
+    vecs = [[_frac(x) for x in v] for v in vectors]
+    vecs = [v for v in vecs if any(x != 0 for x in v)]
+    if not vecs:
+        return []
+    work = Matrix(vecs).copy_data()
+    return work[:len(rref_inplace(work))]
+
+
+def dense_in_span(vector, basis):
+    v = [_frac(x) for x in vector]
+    if all(x == 0 for x in v):
+        return True
+    if not basis:
+        return False
+    return len(dense_rref_basis(list(basis) + [v])) == len(dense_rref_basis(basis))
+
+
+def dense_complement_basis(basis, dim):
+    cur = [list(map(_frac, v)) for v in basis]
+    out = []
+    for j in range(dim):
+        e = _unit(dim, j)
+        if not dense_in_span(e, cur):
+            cur.append(e)
+            out.append(e)
+    return out
+
+
+def dense_ad_matrix_poly(algebra, x):
+    n = algebra.dim
+    zero = Poly(x[0].arity, {})
+    m = [[zero for _ in range(n)] for _ in range(n)]
+    for (i, j), comp in algebra.brackets.items():
+        for k, c in comp.items():
+            m[k][j] = m[k][j] + c * x[i]
+            m[k][i] = m[k][i] - c * x[j]
+    return m
+
+
+def dense_adstar_apply(ad, mu):
+    """(ad*_x mu)(e_j) = -mu([x, e_j]) = -(ad^T mu)_j."""
+    n = len(ad)
+    return [-sum((ad[i][j] * mu[i] for i in range(n)), Poly(mu[0].arity, {})) for j in range(n)]
+
+
+def _dense_ad_series(algebra, x, first, start):
+    """sum_{k >= start} (1/k!) (ad*_x)^(k - start) first, the way both library series sum it."""
+    ad = dense_ad_matrix_poly(algebra, x)
+    out, term, k = list(first), list(first), start
+    while True:
+        term = dense_adstar_apply(ad, term)
+        if vec_is_zero(term):
+            return out
+        k += 1
+        out = [o + Q(1, factorial(k)) * t for o, t in zip(out, term)]
+        if k > algebra.dim + 2:
+            raise AssertionError("ad* series did not terminate")
+
+
+def dense_moment_components(algebra, form, x):
+    n = algebra.dim
+    w = form.matrix
+    term = [sum((w.data[i][j] * x[i] for i in range(n)), Poly(x[0].arity, {})) for j in range(n)]
+    return _dense_ad_series(algebra, x, term, 1)
+
+
+def dense_moment_map(algebra, form):
+    return dense_moment_components(algebra, form, poly_vector(algebra.dim, 0, algebra.dim))
+
+
+def dense_moment_cocycle_identity_holds(algebra, form):
+    n = algebra.dim
+    x, y = poly_vector(2 * n, 0, n), poly_vector(2 * n, n, n)
+    lhs = dense_moment_components(algebra, form, bch(algebra, x, y))
+    qx = dense_moment_components(algebra, form, x)
+    rhs = [a + b for a, b in zip(qx, _dense_ad_series(algebra, x, dense_moment_components(algebra, form, y), 0))]
+    return all((l - r).is_zero() for l, r in zip(lhs, rhs))

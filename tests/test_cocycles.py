@@ -64,11 +64,13 @@ def test_left_symmetric_abelian_zero():
 
 
 def test_left_symmetric_filiform_vs_dense_oracle():
-    L = filiform_algebra(3)
-    w = filiform_cocycle(2)
-    table = left_symmetric_product(L, w)
-    oracle = dense_left_symmetric_solve(L, w.matrix.data)
-    assert table == oracle
+    for n in (2, 3, 4):
+        L = filiform_algebra(2 * n - 1)
+        for c in (1, -2, F(1, 3)):
+            w = filiform_cocycle(n).scale(c)
+            table = left_symmetric_product(L, w)
+            oracle = dense_left_symmetric_solve(L, w.matrix.data)
+            assert table == oracle
 
 
 def test_left_symmetric_two_dim_postconditions():

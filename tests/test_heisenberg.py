@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ from nillat.commalg import (
     socle3_algebra,
     truncated_polynomials,
 )
-from nillat.errors import PreconditionError, StructuralError
+from nillat.errors import InputError, PreconditionError, StructuralError
 from nillat.heisenberg import (
     generic_degeneracy_search,
     h1_blocks_for_search,
@@ -41,6 +42,23 @@ def test_algebra_validation():
     with pytest.raises(StructuralError):
         # unit axiom fails
         CommAlgebra(2, {(0, 0): {0: 1}}, [0, 1])
+
+
+def test_comm_algebra_rejects_vectors_of_the_wrong_length():
+    A = dual_numbers()
+    calls = [
+        lambda: A.multiply([1, 0, 5], [1, 1]),
+        lambda: A.mult_operator([1, 0, 3]),
+        lambda: A.is_nilpotent_element([0, 1, 4]),
+        lambda: A.multiply([0, 1], [0, 1, 7, 9]),
+        lambda: A.multiply([1], [1, 0]),
+        lambda: A.is_nilpotent_element([0]),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="vector length does not match algebra dimension"):
+            call()
+    assert A.multiply([1, 2], [3, 4]) == [3, 10]
+    assert A.is_nilpotent_element([0, 1]) and not A.is_nilpotent_element([1, 1])
 
 
 def test_radical_socle_rationals():
@@ -137,6 +155,32 @@ def test_false_cases_pass_degeneracy_search(name, algebra, reason):
     cert = generic_degeneracy_search(H.algebra, blocks=h1_blocks_for_search(algebra))
     assert cert.degenerate
     assert cert.kind in ("parity", "common-kernel", "orthogonality")
+
+
+def test_orthogonality_tier_fires_exactly_when_the_blocks_pair_to_zero():
+    """The tier against `form(u, v)` on every basis cocycle.  It fires on the blocks of socle3; on seeded
+    blocks of a symplectic H_1(A) it must not, and the search goes on to a witness."""
+    rng = random.Random(17)
+    cases = [(socle3_algebra(), 0), (truncated_polynomials(2), 4), (truncated_polynomials(4), 4),
+             (CommAlgebra(2, {(0, 0): {0: 1}, (1, 1): {1: 1}}, [1, 1]), 4)]
+    fired = 0
+    for base, seeded in cases:
+        H = heisenberg_over(base, 1).algebra
+        n = H.dim
+        z2, _ = cocycle_space(H)
+        trials = [h1_blocks_for_search(base)]
+        for _ in range(seeded):
+            k = rng.randint(1, 2)  # zero vectors first: the tier must look past them
+            u_basis = [[0] * n] + [[rng.choice((0, 0, 1, -2)) for _ in range(n)] for _ in range(k)]
+            w_basis = [[0] * n] + [_unit(n, j) for j in rng.sample(range(n), n - k + 1)]
+            trials.append((u_basis, w_basis))
+        for u_basis, w_basis in trials:
+            fires = span_dim(u_basis) > n - span_dim(w_basis) and all(
+                form(u, v) == 0 for form in z2 for u in u_basis for v in w_basis)
+            cert = generic_degeneracy_search(H, blocks=(u_basis, w_basis))
+            assert cert.kind == ("orthogonality" if fires else "witness")
+            fired += fires
+    assert fired == 1
 
 
 def test_nonlocal_falls_back_to_generic_search():

@@ -165,7 +165,9 @@ def test_sparse_kernel_matches_dense_elimination(system):
     ncols, rows = system
     dense = [[row.get(c, F(0)) for c in range(ncols)] for row in rows]
     before = [dict(row) for row in rows]
-    assert sparse_kernel_basis(rows, ncols) == dense_kernel_basis(dense, ncols)
+    kernel = sparse_kernel_basis(rows, ncols)
+    assert all(x != 0 for v in kernel for x in v.values())
+    assert _coordinates(kernel, ncols) == dense_kernel_basis(dense, ncols)
     assert rows == before
     if rows:
         m = Matrix(dense)
@@ -177,11 +179,16 @@ def test_sparse_kernel_matches_dense_elimination(system):
 
 def test_sparse_kernel_edge_cases():
     identity = [[F(int(i == j)) for j in range(3)] for i in range(3)]
-    assert sparse_kernel_basis([], 3) == identity
-    assert sparse_kernel_basis([{}, {1: F(0)}], 3) == identity
-    assert sparse_kernel_basis([{0: F(2), 2: F(1)}, {0: F(4), 2: F(2)}], 3) == [
+    assert _coordinates(sparse_kernel_basis([], 3), 3) == identity
+    assert _coordinates(sparse_kernel_basis([{}, {1: F(0)}], 3), 3) == identity
+    assert _coordinates(sparse_kernel_basis([{0: F(2), 2: F(1)}, {0: F(4), 2: F(2)}], 3), 3) == [
         [F(0), F(1), F(0)], [F(-1, 2), F(0), F(1)],
     ]
+
+
+def _coordinates(vectors, ncols):
+    """Sparse {col: value} vectors as dense coordinate lists."""
+    return [[v.get(c, F(0)) for c in range(ncols)] for v in vectors]
 
 
 @st.composite

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_inverse, dense_solve, rand_fraction
+from helpers import dense_complement_basis, dense_in_span, dense_inverse, dense_rref_basis, dense_solve, rand_fraction
 from nillat.errors import InputError, NillatError, PreconditionError
 from nillat.matrix import (
     Matrix,
@@ -15,6 +15,7 @@ from nillat.matrix import (
     nilpotency_index,
     rref_basis,
     span_dim,
+    span_equal,
 )
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -184,3 +185,49 @@ def test_internal_results_own_their_rows():
     for bad in (lambda: Matrix.identity(0), lambda: Matrix.zero(0, 2), lambda: Matrix.zero(2, 0)):
         with pytest.raises(InputError, match="at least one row"):
             bad()
+
+
+def _subspace_cases(rng):
+    """(dim, vectors): empty, zero, dependent, full-rank, ragged and non-rational vector lists."""
+    cases = [(3, []), (3, [[0, 0, 0]]), (4, [[F(0)] * 4, [F(0)] * 4]), (3, [[0, 0], [1, 2, 3]])]
+    for dim in range(1, 8):
+        for _ in range(4):
+            k = rng.randint(1, dim + 2)
+            cases.append((dim, _rational_rows(rng, k, dim)))
+            cases.append((dim, _rational_rows(rng, k + 1, dim, rank=rng.randint(0, min(k, dim)))))
+        cases.append((dim, [[F(0)] * dim] + _rational_rows(rng, 2, dim)))
+        ragged = _rational_rows(rng, 3, dim)
+        ragged[rng.randrange(3)].append(F(1))
+        cases.append((dim, ragged))
+        inexact = _rational_rows(rng, 2, dim)
+        inexact[1][rng.randrange(dim)] = rng.choice((0.5, "x", None))
+        cases.append((dim, inexact))
+    return cases
+
+
+def test_subspace_layer_matches_dense_oracles():
+    """rref_basis, span_dim, in_span, span_equal and complement_basis against the dense Matrix-validated
+    versions: the same answer, or the same error class and message."""
+    rng = random.Random(41)
+    cases = _subspace_cases(rng)
+    errors = set()
+    for t, (dim, vecs) in enumerate(cases):
+        got = _outcome(rref_basis, vecs)
+        assert got == _outcome(dense_rref_basis, vecs)
+        errors.add(got[1] if got[0] != "ok" else "ok")
+        assert _outcome(span_dim, vecs) == _outcome(lambda v: len(dense_rref_basis(v)), vecs)
+        other = cases[(t + 1) % len(cases)][1]
+        for b in (other, vecs[::-1] + [[2 * x for x in v] for v in vecs[:1]]):
+            want = _outcome(lambda a, b: dense_rref_basis(a) == dense_rref_basis(b), vecs, b)
+            assert _outcome(span_equal, vecs, b) == want
+        ks = [rng.randint(-2, 2) for _ in vecs]
+        combination = [sum((k * v[c] for k, v in zip(ks, vecs) if c < len(v) and isinstance(v[c], (int, F))), F(0))
+                       for c in range(dim)]
+        for v in (combination, [rand_fraction(rng) for _ in range(dim)], [0] * dim, [1] * (dim + 1), [0] * (dim + 1)):
+            assert _outcome(in_span, v, vecs) == _outcome(dense_in_span, v, vecs)
+        for d in (dim, dim - 1, dim + 1, 0):
+            got = _outcome(complement_basis, vecs, d)
+            assert got == _outcome(dense_complement_basis, vecs, d)
+            if got[0] == "ok" and d == dim:
+                assert span_dim(list(vecs) + got[1]) == dim
+    assert {"ok", "ragged matrix rows"} < errors and any(e.startswith("cannot interpret") for e in errors)

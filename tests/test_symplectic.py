@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import coboundary_value
+from helpers import coboundary_value, dense_moment_components, dense_moment_cocycle_identity_holds, dense_moment_map
+from nillat import jsonio
 from nillat.cocycles import AlternatingForm, cocycle_space
-from nillat.errors import InputError, PreconditionError
+from nillat.errors import InputError, NillatError, PreconditionError
 from nillat.liealg import (
     LieAlgebra,
     abelian_algebra,
@@ -15,7 +16,9 @@ from nillat.liealg import (
     semidirect_coadjoint,
 )
 from nillat.matrix import Matrix, _unit, rref_basis
+from nillat.multipoly import poly_vector
 from nillat.symplectic import (
+    _moment_components,
     bch,
     curvature_vanishes,
     cybe_check,
@@ -82,6 +85,38 @@ def test_moment_identity_filiform():
 def test_moment_identity_tstar_h1():
     ts, form = tstar_h1_with_derivation_form()
     assert moment_cocycle_identity_holds(ts, form)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except NillatError as exc:
+        return type(exc), str(exc)
+
+
+def test_moment_map_matches_dense_oracle():
+    """Components and identity verdicts against the dense ad-matrix path: the canonical filiform forms
+    (dim 4, 6, 8; the identity needs class <= 4, so dim 6 and 8 raise on both sides), the CLI's
+    moment-map input, t*H1, and the raw series of seeded alternating forms, cocycles or not."""
+    cli = {"algebra": {"dim": 4, "brackets": [[1, 2, [[3, 1]]], [1, 3, [[4, 1]]]]},
+           "form": [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]}
+    L = jsonio.parse_lie_algebra(cli["algebra"])
+    cases = [(L, jsonio.parse_alternating_form(L, cli["form"])), tstar_h1_with_derivation_form()]
+    cases += [(filiform_algebra(2 * n - 1), filiform_cocycle(n).scale(c)) for n in (2, 3, 4) for c in (1, -2)]
+    verdicts = set()
+    for L, form in cases:
+        assert moment_map(L, form).components == dense_moment_map(L, form)
+        got = _outcome(moment_cocycle_identity_holds, L, form)
+        assert got == _outcome(dense_moment_cocycle_identity_holds, L, form)
+        verdicts.add(got[0] if got[0] != "ok" else got[1])
+    assert verdicts == {True, PreconditionError}
+    rng = random.Random(31)
+    for L in (filiform_algebra(3), filiform_algebra(5), tstar_h1_with_derivation_form()[0]):
+        x = poly_vector(L.dim, 0, L.dim)
+        for _ in range(4):
+            form = AlternatingForm.from_upper_entries(
+                L, {(i, j): rng.choice((0, 0, 1, -2, F(1, 3))) for i in range(L.dim) for j in range(i + 1, L.dim)})
+            assert _moment_components(L, form, x) == dense_moment_components(L, form, x)
 
 
 def test_moment_identity_class_four():

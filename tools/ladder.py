@@ -1,4 +1,4 @@
-"""Layer ladder for the cocycle-space solve, the socle computation, the filiform integer layer, the Lie kernels and exact elimination.
+"""Layer ladder for the cocycle-space solve, the socle computation, the filiform integer layer, the Lie kernels, exact elimination, the subspace layer and the moment map.
 
     python3 tools/ladder.py [CHECKOUT]
     python3 tools/ladder.py PARENT CHANGE > BENCH_filiform.json
@@ -42,7 +42,15 @@ of the wall time in ms:
   [-9, 9];
 - `anosov.char_poly_pair` on seeded unimodular 3 x 3 integer matrices, the
   product of 2, 4, 8 and 16 seeded elementary matrices: two `charpoly`
-  calls and one `Matrix.inverse` per call.
+  calls and one `Matrix.inverse` per call;
+- `complement_basis` of a seeded basis of n // 2 rational vectors in Q^n,
+  n = 2..12;
+- `moment_cocycle_identity_holds` on the filiform algebra of dim 4 with
+  its canonical form, on t*H_1 with the form of its grading derivation
+  and on a dim-6 algebra of class 4 (the algebras of the tests): three
+  moment maps and one coadjoint series over the degree-4 group product;
+- `left_symmetric_product` on the filiform algebra of dim 2n with its
+  canonical form, n = 2..6 (dim 4..12).
 
 dim Z^2 (or the certificate kind, the kernel dimension, the radical and
 socle dimensions, the series dimensions, or a digest of the system, of the
@@ -93,6 +101,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from outputs import filiform_pairs, flat_cases, six_dim_complement
@@ -113,7 +122,10 @@ WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, 
         "the affine algebra and the filiform algebras of dim 4, 6, 8, and double_theta_check on the "
         "filiform algebra of dim 2n=4, 6, 8 with the inverse canonical bivector; of exact elimination: "
         "Matrix.inverse and Matrix.solve on a seeded invertible integer matrix, n=2..12, and "
-        "anosov.char_poly_pair on seeded unimodular 3x3 matrices; wall time in ms")
+        "anosov.char_poly_pair on seeded unimodular 3x3 matrices; of the subspace layer: complement_basis of a "
+        "seeded basis of n//2 vectors in Q^n, n=2..12; of the moment map: moment_cocycle_identity_holds on the "
+        "filiform algebra of dim 4, t*H_1 and a class-4 algebra of dim 6; and left_symmetric_product on the "
+        "filiform algebra of dim 2n with its canonical form, n=2..6; wall time in ms")
 
 
 def _time(fn):
@@ -164,13 +176,15 @@ def rungs() -> list[tuple[dict, object, object]]:
     """(label, call, describe): describe(call()) says what the call computed."""
     from nillat import classify
     from nillat.anosov import char_poly_pair
-    from nillat.cocycles import cocycle_space
+    from nillat.cocycles import AlternatingForm, cocycle_space, left_symmetric_product
     from nillat.commalg import radical_and_socle, truncated_polynomials
     from nillat.heisenberg import heisenberg_over, hk_degeneracy_check
     from nillat.intlattice import solve_diophantine
-    from nillat.liealg import filiform_algebra, six_dim_quadratic_structure
-    from nillat.matrix import Matrix
-    from nillat.symplectic import double_theta_check, filiform_cocycle, flat_symplectic_structure, inverse_bivector
+    from nillat.liealg import (LieAlgebra, filiform_algebra, heisenberg_algebra, semidirect_coadjoint,
+                               six_dim_quadratic_structure)
+    from nillat.matrix import Matrix, complement_basis
+    from nillat.symplectic import (double_theta_check, filiform_cocycle, flat_symplectic_structure, inverse_bivector,
+                                   moment_cocycle_identity_holds)
 
     out = []
     for k, top in ((1, 8), (2, 6)):
@@ -262,6 +276,31 @@ def rungs() -> list[tuple[dict, object, object]]:
         out.append(({"op": "char_poly_pair", "algebra": f"unimodular 3x3, {steps} elementary factors", "dim": 3,
                      "matrix": _digest(b)},
                     lambda b=b: char_poly_pair(b), lambda pq: {"answer": _digest(pq)}))
+    for n in range(2, 13):
+        rng = random.Random(900 + n)
+        basis = [[Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n // 2)]
+        out.append(({"op": "complement_basis", "algebra": f"{n // 2} seeded rational vectors in Q^{n}", "dim": n,
+                     "basis": _digest([[str(x) for x in v] for v in basis])},
+                    lambda basis=basis, n=n: complement_basis(basis, n),
+                    lambda comp: {"answer": _digest([[str(x) for x in v] for v in comp])}))
+    ts = semidirect_coadjoint(heisenberg_algebra(1))
+    class4 = LieAlgebra(6, {(0, i): {i + 1: 1} for i in range(1, 4)})
+    for name, L, form in (
+        ("filiform_algebra(3), canonical form", filiform_algebra(3), filiform_cocycle(2)),
+        ("t*H_1, grading-derivation form", ts,
+         AlternatingForm.from_upper_entries(ts, {(0, 3): -1, (1, 4): -1, (2, 5): -2})),
+        ("class-4 dim 6", class4, AlternatingForm.from_upper_entries(class4, {
+            (0, 1): -1, (0, 2): -1, (0, 3): -1, (0, 4): -1, (0, 5): -1, (1, 2): -1, (1, 4): 1, (1, 5): -1,
+            (2, 3): -1})),
+    ):
+        out.append(({"op": "moment_cocycle_identity_holds", "algebra": name, "dim": L.dim},
+                    lambda L=L, form=form: moment_cocycle_identity_holds(L, form), lambda ok: {"holds": ok}))
+    for half in range(2, 7):
+        L, form = filiform_algebra(2 * half - 1), filiform_cocycle(half)
+        out.append(({"op": "left_symmetric_product", "algebra": f"filiform_algebra({2 * half - 1}), canonical form",
+                     "dim": 2 * half},
+                    lambda L=L, form=form: left_symmetric_product(L, form),
+                    lambda table: {"table": _digest([[[str(x) for x in v] for v in row] for row in table])}))
     return out
 
 

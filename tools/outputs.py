@@ -31,7 +31,10 @@ library answers on a fixed, seeded corpus:
   `double_theta_check` and `rational_structure_for_double` (on a seeded
   integer lattice basis) on the filiform algebras of dim 2n = 4, 6, 8
   with the inverse canonical bivector, and `cybe_check` on seeded skew
-  matrices;
+  matrices; the `moment_map` components, the `moment_cocycle_identity_holds`
+  verdict (or its error) and the `left_symmetric_product` table of the
+  canonical filiform forms of dim 4, 6 and 8, each at the scales 1, -2
+  and 3;
 - the stdout document and exit code of every CLI entry point (15 simple
   commands, 5 `filiform` and 3 `symplectic` actions, `moment-map`,
   `units`, `anosov`, `charpoly`) on answered inputs and on malformed
@@ -49,7 +52,12 @@ library answers on a fixed, seeded corpus:
   on 120 seeded rational matrices of 1-8 rows and columns, square, wide
   and tall, some rows combinations of the rows above; an error answers
   with its class and message ("matrix is singular", "linear system is
-  inconsistent", the shape errors).
+  inconsistent", the shape errors); and `rref_basis`, `span_dim`,
+  `in_span` (of a combination, a drawn vector, the zero vector and one of
+  the wrong length), `span_equal` (with the reversed list and with the
+  next list), `complement_basis` (to dim - 1, dim and dim + 1) and
+  `Matrix.kernel_basis` on 120 seeded lists of 0-8 vectors of dim 1-7:
+  empty, zero, dependent, full-rank, ragged and with non-rational entries.
 
 With two checkouts, runs each in its own process and exits 0 if the two
 documents are equal, otherwise prints every differing entry of every
@@ -211,7 +219,7 @@ def flat_cases() -> list[tuple]:
 
 def _symplectic_section() -> list[dict]:
     from nillat import jsonio, liealg, symplectic
-    from nillat.cocycles import cocycle_space
+    from nillat.cocycles import cocycle_space, left_symmetric_product
     from nillat.errors import NillatError
     from nillat.matrix import Matrix
 
@@ -254,6 +262,18 @@ def _symplectic_section() -> list[dict]:
                     "semidirect": jsonio.dump_lie_algebra(ds.semidirect), "theta": _canon(ds.theta_matrix),
                     "lattice_log": B, "rational_basis": _canon(P), "rational_structure": jsonio.dump_lie_algebra(alg),
                     "cybe_on_skew": skew})
+    for n in (2, 3, 4):
+        L = liealg.filiform_algebra(2 * n - 1)
+        for c in (1, -2, 3):
+            form = symplectic.filiform_cocycle(n).scale(c)
+            try:
+                identity = symplectic.moment_cocycle_identity_holds(L, form)
+            except NillatError as exc:
+                identity = f"{type(exc).__name__}: {exc}"
+            components = [[[str(x), list(e)] for e, x in sorted(p.terms.items())]
+                          for p in symplectic.moment_map(L, form).components]
+            out.append({"moment": f"filiform{2 * n} x{c}", "components": components, "identity": identity,
+                        "left_symmetric_product": _canon(left_symmetric_product(L, form))})
     return out
 
 
@@ -498,7 +518,7 @@ def _intlattice_section() -> list[dict]:
 
 def _matrix_section() -> list[dict]:
     from nillat.errors import NillatError
-    from nillat.matrix import Matrix
+    from nillat.matrix import Matrix, complement_basis, in_span, rref_basis, span_dim, span_equal
 
     def answer(fn, *args):
         try:
@@ -524,6 +544,28 @@ def _matrix_section() -> list[dict]:
         out.append({"matrix": _canon(m), "inverse": answer(M.inverse),
                     "solve": [answer(M.solve, M.apply(x0)), answer(M.solve, drawn), answer(M.solve, drawn + [1])],
                     "rank": M.rank(), "det": answer(M.det), "charpoly": answer(M.charpoly)})
+    rng = random.Random(37)
+    for t in range(120):
+        dim, count = rng.randint(1, 7), rng.randint(0, 8)
+        vecs = [[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 5))) if rng.random() < 0.6 else Fraction(0)
+                 for _ in range(dim)] for _ in range(count)]
+        for i in range(1, count):  # some vectors a combination of the ones before, some zero
+            if rng.random() < 0.3:
+                ks = [rng.randint(-2, 2) for _ in range(i)]
+                vecs[i] = [sum((k * vecs[s][c] for s, k in enumerate(ks)), Fraction(0)) for c in range(dim)]
+        if count and t % 10 == 7:
+            vecs[rng.randrange(count)].append(Fraction(1))  # ragged
+        if count and t % 10 == 8:
+            vecs[rng.randrange(count)][rng.randrange(dim)] = rng.choice((0.5, "x", None))  # not a rational
+        ks = [rng.randint(-2, 2) for _ in vecs]
+        combination = [sum((k * v[c] for k, v in zip(ks, vecs) if isinstance(v[c], Fraction)), Fraction(0))
+                       for c in range(dim)]
+        drawn = [rng.randint(-3, 3) for _ in range(dim)]
+        out.append({"vectors": _canon(vecs), "rref_basis": answer(rref_basis, vecs), "span_dim": answer(span_dim, vecs),
+                    "in_span": [answer(in_span, v, vecs) for v in (combination, drawn, [0] * dim, drawn + [1])],
+                    "span_equal": [answer(span_equal, vecs, vecs[::-1]), answer(span_equal, vecs, vecs[1:])],
+                    "complement_basis": [answer(complement_basis, vecs, d) for d in (dim - 1, dim, dim + 1)],
+                    "kernel_basis": answer(lambda: Matrix(vecs).kernel_basis())})
     return out
 
 
