@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import unipoly
-from .errors import InputError, PreconditionError, StructuralError
+from .errors import InputError, InternalError, PreconditionError
 from .intlattice import _ints, det_int
 from .matrix import Matrix
 
@@ -26,16 +26,14 @@ def _check_3x3(b: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def second_exterior_power(b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Action on wedge^2 Z^3 in the basis (e2^e3, e3^e1, e1^e2)."""
+    """Action on wedge^2 Z^3 in the basis (e2^e3, e1^e3, e1^e2): entry (i, j) is the minor off row i, column j."""
     rows = _check_3x3(b)
-    m = Matrix(rows)
 
     def minor(i, j):
-        rs = [r for r in range(3) if r != i]
-        cs = [c for c in range(3) if c != j]
-        return m.data[rs[0]][cs[0]] * m.data[rs[1]][cs[1]] - m.data[rs[0]][cs[1]] * m.data[rs[1]][cs[0]]
+        (r0, r1), (c0, c1) = ([t for t in range(3) if t != k] for k in (i, j))
+        return rows[r0][c0] * rows[r1][c1] - rows[r0][c1] * rows[r1][c0]
 
-    return [[int(minor(i, j)) for j in range(3)] for i in range(3)]
+    return [[minor(i, j) for j in range(3)] for i in range(3)]
 
 
 def char_poly_pair(b: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -43,7 +41,6 @@ def char_poly_pair(b: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
 
     p_B = X^3 - tr(B) X^2 + tr(wedge^2 B) X - det B
     q_A = X^3 - tr(wedge^2 B) X^2 + det(B) tr(B) X - 1
-    Both cross-checked against direct characteristic polynomials.
     """
     rows = _check_3x3(b)
     det = det_int(rows)
@@ -52,15 +49,7 @@ def char_poly_pair(b: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     tr = sum(rows[i][i] for i in range(3))
     w2 = second_exterior_power(rows)
     tr2 = sum(w2[i][i] for i in range(3))
-    p_b = [-det, tr2, -tr, 1]
-    q_a = [-1, det * tr, -tr2, 1]
-    # direct cross-checks
-    direct_b = [int(c) for c in Matrix(rows).charpoly()]
-    a_mat = Matrix(rows).inverse().scale(det)
-    direct_a = [int(c) for c in a_mat.charpoly()]
-    if direct_b != p_b or direct_a != q_a:
-        raise StructuralError("trace formulas disagree with direct charpoly")  # pragma: no cover
-    return p_b, q_a
+    return [-det, tr2, -tr, 1], [-1, det * tr, -tr2, 1]
 
 
 # -- unit circle decision ----------------------------------------------------------------
@@ -78,14 +67,9 @@ def has_unit_circle_root(p: Sequence[int]) -> bool:
     g = unipoly.poly_gcd(poly, unipoly.reverse(poly))
     if unipoly.degree(g) <= 0:
         return False
-    g = unipoly.squarefree_part(g)
-    gi = unipoly.primitive_int(g)
-    # after the +-1 checks g is palindromic of even degree
-    if gi != unipoly.primitive_int(unipoly.reverse(gi)):
-        raise StructuralError("reciprocal gcd is not palindromic")  # pragma: no cover
-    half = unipoly.palindromic_to_half(gi)
-    if unipoly.evaluate(half, 2) == 0 or unipoly.evaluate(half, -2) == 0:
-        return True  # pragma: no cover (z = +-1 cases are caught above)
+    # the roots of g are those z of p with 1/z also a root, none of them +-1, so
+    # g is palindromic of even degree and z + 1/z = +-2 is no root of half
+    half = unipoly.palindromic_to_half(unipoly.primitive_int(unipoly.squarefree_part(g)))
     return unipoly.count_real_roots(half, -2, 2) > 0
 
 
@@ -164,7 +148,7 @@ def _verify_ring_automorphism(ring, alpha, beta, gamma) -> None:
     for x in basis:
         for y in basis:
             if gamma * (x * y) != (alpha * x) * (beta * y):
-                raise StructuralError("automorphism fails bilinearity")  # pragma: no cover
+                raise InternalError("automorphism fails bilinearity")  # pragma: no cover
 
 
 def eigenvalue_moduli_report(phi: PhiAutomorphism) -> list[int]:
@@ -221,14 +205,12 @@ def gamma111_automorphism(
     comm_pairs = [(1, 2), (2, 0), (0, 1)]
     a_matrix = []
     for (i, j) in comm_pairs:
-        c = commutator(model, ys[i], ys[j])
-        if any(x != 0 for x in c.coords[3:]):
-            raise StructuralError("commutator left the center")  # pragma: no cover
+        c = commutator(model, ys[i], ys[j])  # central: the y-coordinates add
         a_matrix.append([int(x) for x in c.coords[:3]])
 
     expected = [[det * x for x in row] for row in Matrix(rows).inverse().to_int_rows()]
     if a_matrix != expected:
-        raise StructuralError("center action disagrees with det(B) B^-1")
+        raise InternalError("center action disagrees with det(B) B^-1")  # pragma: no cover
 
     assignment = {f"y{j + 1}": ys[j] for j in range(3)}
     for i in range(3):
@@ -237,7 +219,7 @@ def gamma111_automorphism(
         assignment[f"z{i + 1}"] = element(model, zi)
     ok, failing = check_relations(model, assignment, trid_presentation(1, 1, 1))
     if not ok:
-        raise StructuralError(f"presentation relation failed: {failing}")
+        raise InternalError(f"presentation relation failed: {failing}")  # pragma: no cover
     return Gamma111Automorphism(rows, a_matrix, assignment)
 
 

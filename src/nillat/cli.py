@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 mathematical answer "no" where the answer is the
 point (filiform isom, anosov, commensurable); 2 input error; 3 precondition
-or structural error.  Output is a single JSON document on stdout.
+or structural error, or "error": "internal" when a self-check of an answer
+fails (a library bug).  Output is a single JSON document on stdout.
 
 Each subcommand imports the library modules it runs inside its own
 function (or branch), so one `nillat <cmd>` process loads only those;
@@ -388,11 +389,11 @@ def cmd_units(args) -> int:
 
 
 def cmd_anosov(args) -> int:
-    from .anosov import char_poly_pair, is_anosov
+    from .anosov import char_poly_pair, has_unit_circle_root
 
     mat = _matrix_arg(args)
     p_b, _ = char_poly_pair(mat)
-    ans = is_anosov(mat)
+    ans = not has_unit_circle_root(p_b)
     _emit({"charpoly": p_b, "anosov": ans})
     return 0 if ans else ANSWER_FALSE
 
@@ -537,7 +538,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         _emit({"error": "precondition", "message": str(exc)})
         return EXIT_PRECONDITION
-    except NillatError as exc:  # pragma: no cover
+    except NillatError as exc:  # InternalError
         _emit({"error": "internal", "message": str(exc)})
         return EXIT_PRECONDITION
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InputError, StructuralError
+from .errors import InputError, InternalError, StructuralError
 from .matrix import Matrix, Q, sparse_kernel_basis, _dense, _frac, _rref, _sparse
 
 
@@ -115,7 +115,7 @@ def radical_and_socle(algebra: CommAlgebra) -> SocleReport:
     radical = _rref(sparse_kernel_basis(trace_rows, n), n)
     for v in radical:
         if not algebra.is_nilpotent_element(v):
-            raise StructuralError("trace-form kernel contains a non-nilpotent")  # pragma: no cover
+            raise InternalError("trace-form kernel contains a non-nilpotent")  # pragma: no cover
     # one row per (r, k): the coefficient of e_k in r e_j, over j
     rows = []
     for r in (_sparse(v, n) for v in radical):

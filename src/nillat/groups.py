@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .intlattice import _ints, mat_identity, mat_mul
 from .matrix import Matrix, Q, nilpotent_log, nilpotency_index, _frac
 
@@ -38,7 +38,7 @@ class GroupModel:
             cand[s] -= defect[s]
         check = self.product(list(coords), cand)
         if any(x != 0 for x in check):
-            raise PreconditionError("inverse construction failed")  # pragma: no cover
+            raise InternalError("inverse construction failed")  # pragma: no cover
         return cand
 
     def params(self) -> dict:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .cocycles import AlternatingForm, cocycle_space
 from .commalg import CommAlgebra, SocleReport, radical_and_socle
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .liealg import LieAlgebra
 from .matrix import Matrix, Q, span_dim, sparse_kernel_basis, _rref, _sparse, _subtract, _unit
 
@@ -96,9 +96,7 @@ def h1_cocycle_construct(base: CommAlgebra) -> AlternatingForm:
     decision, cert = _h1_decision(base)
     if not decision.symplectic:
         raise PreconditionError("no symplectic cocycle exists")
-    if cert is not None:
-        if cert.witness is None:
-            raise PreconditionError("no symplectic cocycle exists")  # pragma: no cover
+    if cert is not None:  # a "not degenerate" search certificate carries its witness
         return cert.witness
     H = heisenberg_over(base, 1)
     l = base.dim
@@ -130,7 +128,8 @@ def h1_cocycle_construct(base: CommAlgebra) -> AlternatingForm:
         for idx, row in pair_rows:
             for t, val in enumerate(row):
                 put(idx, H.g_index(t), val)
-        # choose E: l rows of the 2l x l pairing matrix forming an invertible block
+        # choose E: l rows of the 2l x l pairing matrix forming an invertible block.  The
+        # matrix has rank l: a nonzero ideal A c meets the socle, where mu_1, mu_2 are independent
         chosen: list[int] = []
         for r in range(2 * l):
             if len(chosen) == l:
@@ -138,17 +137,15 @@ def h1_cocycle_construct(base: CommAlgebra) -> AlternatingForm:
             trial = chosen + [r]
             if Matrix([pair_rows[t][1] for t in trial]).rank() == len(trial):
                 chosen.append(r)
-        if len(chosen) != l:
-            raise PreconditionError("duality block not found")  # pragma: no cover
         rest = [r for r in range(2 * l) if r not in chosen]
         for a in range(0, l, 2):
             put(pair_rows[rest[a]][0], pair_rows[rest[a + 1]][0], Q(1))
 
     form = AlternatingForm.from_upper_entries(H.algebra, entries)
     if not form.is_cocycle():
-        raise PreconditionError("constructed form is not a cocycle")  # pragma: no cover
+        raise InternalError("constructed form is not a cocycle")  # pragma: no cover
     if not form.is_nondegenerate():
-        raise PreconditionError("constructed form is degenerate")  # pragma: no cover
+        raise InternalError("constructed form is degenerate")  # pragma: no cover
     return form
 
 
@@ -180,7 +177,7 @@ def hk_degeneracy_check(base: CommAlgebra, k: int) -> DegeneracyCertificate:
     z2, _ = cocycle_space(H.algebra)
     # the g-block is the last one, so a form pairing it nontrivially has an entry (i, j), j >= g_0
     if any(j >= H.g_index(0) for form in z2 for _, j in form.entries):
-        return DegeneracyCertificate(False, "witness")  # pragma: no cover
+        raise InternalError("a cocycle pairs the g-copy nontrivially")  # pragma: no cover
     # unit vectors at increasing indices: already an RREF basis
     g_block = [_unit(H.algebra.dim, H.g_index(t)) for t in range(base.dim)]
     return DegeneracyCertificate(True, "common-kernel", kernel_basis=g_block)

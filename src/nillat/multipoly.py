@@ -112,17 +112,5 @@ def poly_vector(arity: int, offset: int, length: int) -> list[Poly]:
     return [Poly.var(arity, offset + i) for i in range(length)]
 
 
-def vec_add(a: Iterable[Poly], b: Iterable[Poly]) -> list[Poly]:
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a: Iterable[Poly], b: Iterable[Poly]) -> list[Poly]:
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_scale(c, a: Iterable[Poly]) -> list[Poly]:
-    return [c * x for x in a]
-
-
 def vec_is_zero(a: Iterable[Poly]) -> bool:
     return all(x.is_zero() for x in a)

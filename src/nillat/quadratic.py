@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 
 SQRT = "SQRT"
 HALF = "HALF"
@@ -250,9 +250,9 @@ def fundamental_unit(m: int) -> RingElement:
         alpha = RingElement(ring, p0, 1)
     eps = RingElement(ring, q_cur, 0) * alpha + RingElement(ring, q_prev, 0)
     if not eps.is_unit():
-        raise PreconditionError("continued-fraction unit failed norm check")  # pragma: no cover
+        raise InternalError("continued-fraction unit failed norm check")  # pragma: no cover
     if not embedding_greater_than(eps, Fraction(1)):
-        raise PreconditionError("continued-fraction unit is not > 1")  # pragma: no cover
+        raise InternalError("continued-fraction unit is not > 1")  # pragma: no cover
     return eps
 
 
@@ -267,20 +267,10 @@ def unit_torsion(m: int) -> UnitGroupDesc:
     if m >= 0:
         raise InputError("torsion classification is for m < 0")
     ring = ring_of_integers(m)
-    units = []
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            x = RingElement(ring, a, b)
-            if x.norm() == 1:
-                units.append(x)
-    count = len(units)
-    if count == 4:
-        return UnitGroupDesc("C4", None)
-    if count == 6:
-        return UnitGroupDesc("C6", None)
-    if count == 2:
-        return UnitGroupDesc("C2", None)
-    raise PreconditionError(f"unexpected unit count {count}")  # pragma: no cover
+    # the units are the roots of unity of Q(sqrt m): 4 for m = -1, 6 for m = -3 and 2
+    # otherwise, all with coordinates in [-1, 1]
+    count = sum(RingElement(ring, a, b).norm() == 1 for a in range(-2, 3) for b in range(-2, 3))
+    return UnitGroupDesc(f"C{count}", None)
 
 
 def unit_group(m: int) -> UnitGroupDesc:
@@ -288,6 +278,9 @@ def unit_group(m: int) -> UnitGroupDesc:
     if m > 1:
         return UnitGroupDesc("C2", fundamental_unit(m))
     return unit_torsion(m)
+
+
+_MAX_EXPONENT = 10 ** 6  # each step of unit_exponent is one multiplication by eps^+-1
 
 
 def unit_exponent(ring: QuadraticRing, x: RingElement) -> int | None:
@@ -308,6 +301,6 @@ def unit_exponent(ring: QuadraticRing, x: RingElement) -> int | None:
             u = u * eps
             n -= 1
         cmp = abs_embedding_vs_one(u)
-        if abs(n) > 10 ** 6:
-            raise PreconditionError("unit exponent runaway")  # pragma: no cover
+        if abs(n) > _MAX_EXPONENT:
+            raise PreconditionError("unit exponent runaway")
     return n

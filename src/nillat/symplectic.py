@@ -16,7 +16,7 @@ from math import factorial, gcd
 from typing import Sequence
 
 from .cocycles import AlternatingForm, left_symmetry_defect
-from .errors import InputError, PreconditionError, StructuralError
+from .errors import InputError, InternalError, PreconditionError, StructuralError
 from .liealg import LieAlgebra, filiform_algebra, semidirect_coadjoint
 from .matrix import Matrix, Q, in_span, rref_basis, span_dim, sparse_kernel_basis, _frac, _rref, _sparse
 from .multipoly import Poly, poly_vector, vec_is_zero
@@ -34,7 +34,7 @@ def filiform_cocycle(n: int) -> AlternatingForm:
         entries[(i, 2 * n - i - 1)] = Q((-1) ** i)
     form = AlternatingForm.from_upper_entries(L, entries)
     if not form.is_cocycle() or not form.is_nondegenerate():
-        raise StructuralError("canonical filiform form failed verification")  # pragma: no cover
+        raise InternalError("canonical filiform form failed verification")  # pragma: no cover
     return form
 
 
@@ -99,15 +99,11 @@ def _moment_components(algebra: LieAlgebra, form: AlternatingForm, x: list[Poly]
         term[j] = term[j] + c * x[i]
         term[i] = term[i] - c * x[j]
     out = list(term)
-    k = 1
-    while True:
+    for k in range(2, n + 1):  # callers check nilpotency first, so (ad*_x)^(n-1) = 0
         term = _adstar_apply(algebra, x, term)
         if vec_is_zero(term):
             break
-        k += 1
         out = [o + Q(1, factorial(k)) * t for o, t in zip(out, term)]
-        if k > n + 2:
-            raise PreconditionError("ad* series did not terminate")  # pragma: no cover
     return out
 
 
@@ -115,15 +111,11 @@ def _coadjoint_exp(algebra: LieAlgebra, x: list[Poly], mu: list[Poly]) -> list[P
     """Ad*_{exp x} mu = e^{ad*_x} mu."""
     out = list(mu)
     term = list(mu)
-    k = 0
-    while True:
+    for k in range(1, algebra.dim):  # the caller checks nilpotency first, so (ad*_x)^(dim-1) = 0
         term = _adstar_apply(algebra, x, term)
         if vec_is_zero(term):
             break
-        k += 1
         out = [o + Q(1, factorial(k)) * t for o, t in zip(out, term)]
-        if k > algebra.dim + 2:
-            raise PreconditionError("Ad* series did not terminate")  # pragma: no cover
     return out
 
 

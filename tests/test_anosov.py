@@ -92,8 +92,9 @@ def test_charpoly_cross_relations():
         det = det_int(m)
         assert det in (1, -1)
         p_b, q_a = char_poly_pair(m)
-        # constant term of p_B is -det B; q_A is the charpoly of det(B) B^-1
+        # constant term of p_B is -det B; p_B is the charpoly of B, q_A that of det(B) B^-1
         assert p_b[0] == -det
+        assert [int(c) for c in Matrix(m).charpoly()] == p_b
         a = Matrix(m).inverse().scale(det)
         assert [int(c) for c in a.charpoly()] == q_a
         # the eigenvalue product of A is always 1

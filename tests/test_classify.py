@@ -20,7 +20,7 @@ from nillat.classify import (
     trid_invariants_from_model,
     unique_abelian_codim1,
 )
-from nillat.errors import InputError, PreconditionError, StructuralError
+from nillat.errors import InputError, InternalError, PreconditionError, StructuralError
 from nillat.groups import Filiform, TriD, commutator, element, identity, multiply
 from nillat.intlattice import lattice_contains, mat_identity, mat_mul, column_lattice_basis
 from nillat.liealg import (
@@ -160,19 +160,19 @@ def test_witness_check_rejects_mutations(L, family, d):
             _verify_witness(L, mutated, table)
             continue
         rejected += 1
-        with pytest.raises(StructuralError, match="witness verification failed"):
+        with pytest.raises(InternalError, match="witness verification failed"):
             _verify_witness(L, mutated, table)
     assert rejected >= 12
     # two equal columns; the last one, (w_4, w_4, w_5, w_5, 0, 0), has only zero brackets and
     # matches the table, so only the rank rejects it
     for pattern in ([0, 0, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4], [0, 1, 5, 3, 4, 5], [4, 4, 5, 5, None, None]):
         data = [[row[k] if k is not None else F(0) for k in pattern] for row in c.witness_basis.data]
-        with pytest.raises(StructuralError, match="witness verification failed"):
+        with pytest.raises(InternalError, match="witness verification failed"):
             _verify_witness(L, Matrix(data), table)
     # the normal-form table of another class
     for other_family, other_d in (("H1_DUAL", None), ("H1_COMPLEX", 3), ("H1_RxR", -1)):
         if (other_family, other_d) != (family, d):
-            with pytest.raises(StructuralError, match="witness verification failed"):
+            with pytest.raises(InternalError, match="witness verification failed"):
                 _verify_witness(L, c.witness_basis, normal_form_table(other_family, other_d))
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,6 +28,17 @@ def test_anosov_false_exit_code(capsys):
     code, doc = run_cli(capsys, "anosov", "--matrix", "1,0,0;0,1,0;0,0,1")
     assert code == 1
     assert doc["anosov"] is False
+
+
+def test_anosov_reads_the_charpoly_once(capsys):
+    from nillat import anosov
+
+    with mock.patch.object(anosov, "char_poly_pair", wraps=anosov.char_poly_pair) as spy:
+        code, doc = run_cli(capsys, "anosov", "--matrix", "1,5,2;2,-1,-1;3,2,0")
+    assert (code, doc) == (0, {"anosov": True, "charpoly": [-1, -15, 0, 1]})
+    assert spy.call_count == 1
+    code, doc = run_cli(capsys, "anosov", "--matrix", "2,0,0;0,1,0;0,0,1")
+    assert (code, doc) == (3, {"error": "precondition", "message": "matrix must be unimodular"})
 
 
 def test_units(capsys):
@@ -210,6 +222,16 @@ def test_symplectic_construct_precondition_exit(capsys):
     code, doc = run_cli(capsys, "symplectic", "construct", "--json", odd)
     assert code == 3
     assert doc["error"] == "precondition"
+
+
+def test_failed_self_check_answers_internal(capsys, monkeypatch):
+    # a broken witness construction is a library bug, not a precondition of the input
+    from nillat import heisenberg
+
+    dual = '{"dim":2,"unit":[1,0],"products":[[1,1,[[1,1]]],[1,2,[[2,1]]]]}'
+    monkeypatch.setattr(heisenberg, "_dual_pairing", lambda base, s: [[0] * base.dim for _ in range(base.dim)])
+    code, doc = run_cli(capsys, "symplectic", "construct", "--json", dual)
+    assert (code, doc) == (3, {"error": "internal", "message": "constructed form is degenerate"})
 
 
 def test_example5_and_cybe(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from helpers import fundamental_unit_box_search
 from nillat.quadratic import squarefree_part
-from nillat.errors import InputError
+from nillat import quadratic
+from nillat.errors import InputError, PreconditionError
 from nillat.quadratic import (
     HALF,
     SQRT,
@@ -91,6 +92,18 @@ def test_unit_exponent_roundtrip():
     inv = eps.inverse()
     assert unit_exponent(r, inv * inv) == -2
     assert unit_exponent(r, element(r, 5, 0)) is None  # not a unit
+
+
+def test_unit_exponent_runaway_bound(monkeypatch):
+    # one multiplication per step: lowered from 10**6 so that units past the bound stay cheap
+    monkeypatch.setattr(quadratic, "_MAX_EXPONENT", 3)
+    r = ring_of_integers(3)
+    eps = fundamental_unit(3)
+    assert unit_exponent(r, eps * eps * eps) == 3
+    inv = eps.inverse()
+    for x in (eps * eps * eps * eps, -(inv * inv * inv * inv * inv)):
+        with pytest.raises(PreconditionError, match="^unit exponent runaway$"):
+            unit_exponent(r, x)
 
 
 def test_embedding_comparisons():

@@ -40,9 +40,10 @@ of the wall time in ms:
 - `Matrix.inverse` and `Matrix.solve` (with a seeded integer right-hand
   side) on a seeded invertible integer matrix, n = 2..12, entries in
   [-9, 9];
-- `anosov.char_poly_pair` on seeded unimodular 3 x 3 integer matrices, the
-  product of 2, 4, 8 and 16 seeded elementary matrices: two `charpoly`
-  calls and one `Matrix.inverse` per call;
+- `anosov.char_poly_pair` and `anosov.is_anosov` on seeded unimodular
+  3 x 3 integer matrices, the product of 2, 4, 8 and 16 seeded elementary
+  matrices: the trace formulas, and for `is_anosov` the unit-circle test
+  of p_B as well;
 - `complement_basis` of a seeded basis of n // 2 rational vectors in Q^n,
   n = 2..12;
 - `moment_cocycle_identity_holds` on the filiform algebra of dim 4 with
@@ -122,7 +123,7 @@ WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, 
         "the affine algebra and the filiform algebras of dim 4, 6, 8, and double_theta_check on the "
         "filiform algebra of dim 2n=4, 6, 8 with the inverse canonical bivector; of exact elimination: "
         "Matrix.inverse and Matrix.solve on a seeded invertible integer matrix, n=2..12, and "
-        "anosov.char_poly_pair on seeded unimodular 3x3 matrices; of the subspace layer: complement_basis of a "
+        "anosov.char_poly_pair and anosov.is_anosov on seeded unimodular 3x3 matrices; of the subspace layer: complement_basis of a "
         "seeded basis of n//2 vectors in Q^n, n=2..12; of the moment map: moment_cocycle_identity_holds on the "
         "filiform algebra of dim 4, t*H_1 and a class-4 algebra of dim 6; and left_symmetric_product on the "
         "filiform algebra of dim 2n with its canonical form, n=2..6; wall time in ms")
@@ -175,7 +176,7 @@ def _sylvester_system(classify, s1, s2) -> tuple[list, list]:
 def rungs() -> list[tuple[dict, object, object]]:
     """(label, call, describe): describe(call()) says what the call computed."""
     from nillat import classify
-    from nillat.anosov import char_poly_pair
+    from nillat.anosov import char_poly_pair, is_anosov
     from nillat.cocycles import AlternatingForm, cocycle_space, left_symmetric_product
     from nillat.commalg import radical_and_socle, truncated_polynomials
     from nillat.heisenberg import heisenberg_over, hk_degeneracy_check
@@ -273,9 +274,10 @@ def rungs() -> list[tuple[dict, object, object]]:
             q = rng.choice((1, -1, 2, -2))
             for row in b:
                 row[j] += q * row[i]
-        out.append(({"op": "char_poly_pair", "algebra": f"unimodular 3x3, {steps} elementary factors", "dim": 3,
-                     "matrix": _digest(b)},
-                    lambda b=b: char_poly_pair(b), lambda pq: {"answer": _digest(pq)}))
+        label = {"algebra": f"unimodular 3x3, {steps} elementary factors", "dim": 3, "matrix": _digest(b)}
+        out.append(({"op": "char_poly_pair", **label}, lambda b=b: char_poly_pair(b),
+                    lambda pq: {"answer": _digest(pq)}))
+        out.append(({"op": "is_anosov", **label}, lambda b=b: is_anosov(b), lambda ok: {"anosov": ok}))
     for n in range(2, 13):
         rng = random.Random(900 + n)
         basis = [[Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n // 2)]

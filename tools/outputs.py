@@ -1,4 +1,4 @@
-"""Exact outputs of the commutative-algebra, Heisenberg, centre, integer-lattice and matrix paths, on one checkout or a pair.
+"""Exact outputs of the commutative-algebra, Heisenberg, centre, integer-lattice, matrix and Anosov paths, on one checkout or a pair.
 
     python3 tools/outputs.py [CHECKOUT]
     python3 tools/outputs.py PARENT CHANGE
@@ -57,7 +57,14 @@ library answers on a fixed, seeded corpus:
   the wrong length), `span_equal` (with the reversed list and with the
   next list), `complement_basis` (to dim - 1, dim and dim + 1) and
   `Matrix.kernel_basis` on 120 seeded lists of 0-8 vectors of dim 1-7:
-  empty, zero, dependent, full-rank, ragged and with non-rational entries.
+  empty, zero, dependent, full-rank, ragged and with non-rational entries;
+- `char_poly_pair`, `is_anosov` and `second_exterior_power` on 40 seeded
+  unimodular and 20 seeded (mostly non-unimodular) 3x3 integer matrices
+  and on malformed ones (wrong shape, non-integer entries), and
+  `has_unit_circle_root` on 80 seeded integer polynomials, some times a
+  cyclotomic factor and some times a reciprocal pair off the circle, and
+  on zero, constant and monomial ones; an error answers with its class
+  and message.
 
 With two checkouts, runs each in its own process and exits 0 if the two
 documents are equal, otherwise prints every differing entry of every
@@ -452,6 +459,62 @@ def _error_section() -> list[str]:
     return out
 
 
+def _anosov_section() -> list[dict]:
+    from nillat import anosov
+    from nillat.errors import NillatError
+
+    def answer(fn, *args):
+        try:
+            return _canon(fn(*args))
+        except (NillatError, TypeError) as exc:  # a row that is no sequence raises TypeError
+            return f"{type(exc).__name__}: {exc}"
+
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    rng = random.Random(41)
+    mats = []
+    for _ in range(40):  # unimodular: products of elementary matrices, about half with a row negated
+        b = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(rng.randint(1, 8)):
+            i, j = rng.sample(range(3), 2)
+            q = rng.randint(-3, 3)
+            for row in b:
+                row[j] += q * row[i]
+        if rng.random() < 0.5:
+            b[0] = [-x for x in b[0]]
+        mats.append(b)
+    mats += [[[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)] for _ in range(20)]
+    mats += [
+        [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 5, 2], [2, -1, -1], [3, 2, Fraction(1, 2)]], [[1, 5, 2.7], [2, -1, -1], [3, 2, 0]],
+        [[1, 5, 2.0], [2, -1, -1], [3, 2, 0]], [[1, 5, "2"], [2, -1, -1], [3, 2, 0]],
+        [[1, 5, None], [2, -1, -1], [3, 2, 0]], [[True, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3], [],
+    ]
+    out = []
+    for b in mats:
+        out.append({"matrix": _canon(b), "char_poly_pair": answer(anosov.char_poly_pair, b),
+                    "is_anosov": answer(anosov.is_anosov, b),
+                    "second_exterior_power": answer(anosov.second_exterior_power, b)})
+    cyclotomic = ([1, 1], [-1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 1])
+    polys = [[], [0], [0, 0], [7], [-1, 0, 0], [0, 1], [0, 0, 1, 0, 0]]
+    for _ in range(80):
+        p = [rng.randint(-5, 5) for _ in range(rng.randint(1, 7))]
+        kind = rng.random()
+        if kind < 0.4:
+            p = times(p, rng.choice(cyclotomic))
+        elif kind < 0.6:
+            p = times(p, [1, -rng.randint(3, 6), 1])  # a reciprocal pair off the circle
+        polys.append(p)
+    out += [{"poly": p, "has_unit_circle_root": answer(anosov.has_unit_circle_root, p)} for p in polys]
+    return out
+
+
 def six_dim_complement(rng: random.Random) -> list[list[int]]:
     """Four integer vectors of Q^6 independent of span(e5, e6), the centre of `six_dim_quadratic_structure`."""
     from nillat.matrix import Matrix
@@ -575,7 +638,7 @@ def _one(checkout: Path) -> dict:
 
     return {"commalg": _commalg_section(), "lie": _lie_section(), "symplectic": _symplectic_section(),
             "cli": _cli_section(), "errors": _error_section(), "intlattice": _intlattice_section(),
-            "matrix": _matrix_section()}
+            "matrix": _matrix_section(), "anosov": _anosov_section()}
 
 
 def _compare(parent: Path, change: Path) -> int:
