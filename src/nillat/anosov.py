@@ -189,14 +189,14 @@ def gamma111_automorphism(
     if det not in (1, -1):
         raise PreconditionError("generator matrix must be unimodular")
     model = TriD(1, 1, 1)
-    zc = central if central is not None else [[0, 0, 0]] * 3
+    zc = [_ints(r) for r in central] if central is not None else [[0, 0, 0]] * 3
     if len(zc) != 3 or any(len(r) != 3 for r in zc):
         raise InputError("need three central coordinate triples")
 
     ys = []
     for j in range(3):
         coords = [0] * 6
-        coords[0:3] = _ints(zc[j])
+        coords[0:3] = zc[j]
         coords[3:6] = [rows[i][j] for i in range(3)]
         ys.append(element(model, coords))
 

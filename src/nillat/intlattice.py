@@ -32,6 +32,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _ints(v: Sequence[int]) -> list[int]:
+    if type(v) is not list and not isinstance(v, Sequence):  # a list skips the slower ABC check
+        raise InputError(f"integer matrix row {v!r} is not a sequence")
     # exact ints skip parse_int, which rejects what int() would truncate
     return [x if type(x) is int else parse_int(x, "integer matrix entry") for x in v]
 

@@ -3,8 +3,15 @@
 Elements are integer pairs (a, b) meaning a + b*omega with omega = sqrt(m)
 for m = 2, 3 (mod 4) and omega = (1 + sqrt(m))/2 for m = 1 (mod 4).
 Fundamental units of real fields come from the continued fraction of a
-reduced shift of omega; all embedding comparisons are exact (sign analysis
-plus squaring, no floating point).
+reduced shift of omega.  After its first quotient the period is a
+palindrome (Perron, Die Lehre von den Kettenbruechen, 1913; Cohen, A Course
+in Computational Algebraic Number Theory, GTM 138, 5.7), so the walk stops
+halfway and the continuants of the whole period come from one balanced
+product of the first half's 2x2 matrices, whose large multiplications have
+operands of equal size (Bernstein, "Fast multiplication and its
+applications", 2008).  Each unit is checked exactly (norm +-1, > 1) before
+it is returned.  All embedding comparisons are exact (sign analysis plus
+squaring, no floating point).
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator
 
 from .errors import InputError, InternalError, PreconditionError
 
@@ -21,14 +27,18 @@ HALF = "HALF"
 
 
 def squarefree_part(n: int) -> int:
-    """Squarefree integer of the same sign with n / result a perfect square."""
+    """Squarefree integer of the same sign with n / result a perfect square.
+
+    Trial division stops once p^3 exceeds what is left, r.  Then every prime factor of r is
+    above p, so r is 1, a prime q, q1 q2 or q^2, and it is a square only in the last case.
+    """
     if n == 0:
         raise InputError("squarefree part of 0 is undefined")
     sign = -1 if n < 0 else 1
     n = abs(n)
     out = 1
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -37,7 +47,7 @@ def squarefree_part(n: int) -> int:
             if e % 2:
                 out *= p
         p += 1 if p == 2 else 2
-    return sign * out * n
+    return sign * out * (1 if isqrt(n) ** 2 == n else n)
 
 
 @dataclass(frozen=True)
@@ -219,17 +229,55 @@ def _reduced_start(m: int, half: bool) -> tuple[int, int]:
     return a0, 1
 
 
-def _cf_cycle(m: int, p0: int, q0: int) -> Iterator[int]:
-    """Partial quotients of the purely periodic expansion of (p0 + sqrt m)/q0."""
-    a0 = isqrt(m)
-    p, q = p0, q0
-    while True:
-        a = (p + a0) // q
-        yield a
-        p = a * q - p
-        q = (m - p * p) // q
-        if (p, q) == (p0, q0):
-            return
+def _mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Product of 2x2 integer matrices stored row by row as (A, B, C, D)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+_LEAF = 16  # quotients multiplied one at a time into a leaf before it enters the binary counter
+
+
+def _period_continuants(m: int, p0: int, q0: int) -> tuple[int, int]:
+    """(q_{l-1}, q_{l-2}) for the period a_0, ..., a_{l-1} of the reduced (p0 + sqrt m)/q0 with trace a_0.
+
+    They are the bottom row of Z(a_0) ... Z(a_{l-1}), Z(a) = [[a, 1], [1, 0]].  As a_0 is the trace,
+    a_1 ... a_{l-1} is a palindrome (see the module docstring), and the (P, Q) walk turns
+    round at its middle: P_{k+1} = P_k when a_k is the middle term, Q_{k+1} = Q_k when a_k closes the
+    first half.  With H = Z(a_1) ... Z(a_h) over the first half, the period is Z(a_0) H [Z(mid)] H^T,
+    each Z being symmetric, and the bottom row of Z(a_0) X is the top row of X.  H comes from a
+    binary counter of partial products of _LEAF quotients each, in which two products of equal
+    level merge, so that the large multiplications have operands of equal size and no list of
+    quotients is kept.
+    """
+    r = isqrt(m)
+    p, q = p0, (m - p0 * p0) // q0  # state 1; a_0 = 2 p0 / q0 only sets it
+    stack: list[tuple[int, tuple[int, int, int, int]]] = []  # (level, product of 2^level leaves)
+    leaf, size, mid = (1, 0, 0, 1), 0, 0
+    turned = q == q0  # the period is a_0 alone
+    while not turned:
+        a = (p + r) // q
+        p_next = a * q - p
+        if p_next == p:
+            mid = a
+            break
+        x, y, z, w = leaf
+        leaf, size = (x * a + y, x, z * a + w, z), size + 1  # leaf <- leaf Z(a)
+        if size == _LEAF:
+            level, node = 0, leaf
+            while stack and stack[-1][0] == level:
+                level, node = level + 1, _mul(stack.pop()[1], node)
+            stack.append((level, node))
+            leaf, size = (1, 0, 0, 1), 0
+        q_next = (m - p_next * p_next) // q
+        turned = q_next == q
+        p, q = p_next, q_next
+    a, b, c, d = leaf
+    for _, node in reversed(stack):
+        a, b, c, d = _mul(node, (a, b, c, d))
+    t0, t1 = (a * mid + b, a) if mid else (a, b)  # top row of H [Z(mid)]
+    return t0 * a + t1 * b, t0 * c + t1 * d
 
 
 def fundamental_unit(m: int) -> RingElement:
@@ -239,9 +287,7 @@ def fundamental_unit(m: int) -> RingElement:
     ring = ring_of_integers(m)
     p0, q0 = _reduced_start(m, ring.half)
     # continuants over one full period: eps = q_{l-1} alpha + q_{l-2}
-    q_prev, q_cur = 1, 0  # q_{-2}, q_{-1}
-    for a in _cf_cycle(m, p0, q0):
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    q_cur, q_prev = _period_continuants(m, p0, q0)
     # alpha = (p0 + sqrt m)/q0 in ring coordinates
     if ring.half:
         t = (p0 - 1) // 2

@@ -341,6 +341,37 @@ def fundamental_unit_box_search(m: int, coord_bound: int = 10 ** 7) -> RingEleme
     raise PreconditionError("no unit found within the box")
 
 
+def _cf_start(m: int) -> tuple[int, int]:
+    """(p0, q0): isqrt(m) over 1, or for m = 1 (mod 4) the odd one of isqrt(m), isqrt(m) - 1 over 2."""
+    a0 = isqrt(m)
+    return (a0 - (a0 % 2 == 0), 2) if m % 4 == 1 else (a0, 1)
+
+
+def cf_period(m: int) -> list[int]:
+    """a_0, ..., a_{l-1}: one period of the purely periodic (p0 + sqrt m)/q0 that `fundamental_unit` starts from."""
+    a0 = isqrt(m)
+    p0, q0 = _cf_start(m)
+    p, q, out = p0, q0, []
+    while True:
+        a = (p + a0) // q
+        out.append(a)
+        p = a * q - p
+        q = (m - p * p) // q
+        if (p, q) == (p0, q0):
+            return out
+
+
+def fundamental_unit_full_period(m: int) -> RingElement:
+    """The fundamental unit from the continuant recurrence over one whole period, one quotient at a time (test oracle)."""
+    ring = ring_of_integers(m)
+    p0, _ = _cf_start(m)
+    q_prev, q_cur = 1, 0  # q_{-2}, q_{-1}
+    for a in cf_period(m):
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    # eps = q_{l-1} alpha + q_{l-2} with alpha = p0 + sqrt m, or (p0 - 1)/2 + omega in the half basis
+    return RingElement(ring, q_cur * ((p0 - 1) // 2 if ring.half else p0) + q_prev, q_cur)
+
+
 # -- the dense cocycle-space solve and form read ------------------------------------
 #
 # Copies (renamed) of `cocycle_space` as it was when it built the Z^2 system

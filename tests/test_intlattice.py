@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from nillat import intlattice
+from nillat import anosov, groups, intlattice
 from nillat.errors import InputError
 from nillat.intlattice import (
     det_int,
@@ -123,6 +123,25 @@ def test_solve_diophantine_makes_one_smith_decomposition(monkeypatch):
 def test_non_integer_entries_are_rejected(call):
     # int() would truncate these to the entries of a different matrix
     with pytest.raises(InputError, match="is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: anosov.char_poly_pair([1, 2, 3]),
+    lambda: anosov.is_anosov([[1, 0, 0], 5, [0, 0, 1]]),
+    lambda: anosov.second_exterior_power([None, None, None]),
+    lambda: anosov.gamma111_automorphism(mat_identity(3), central=[7, 8, 9]),
+    lambda: det_int([1.5]),
+    lambda: smith_normal_form([[1, 0], 2]),
+    lambda: solve_diophantine([[2]], 4),
+    lambda: hermite_row_basis([3]),
+    lambda: lattice_contains([[1]], 1),
+    lambda: groups.Filiform(3, [1, 2, 3]),
+    lambda: groups.filiform_action_power([1, 2], 2),
+], ids=["charpoly", "anosov", "wedge2", "gamma111-central", "det", "snf", "solve-rhs", "hermite", "contains",
+        "filiform", "filiform-power"])
+def test_non_sequence_rows_are_rejected(call):
+    with pytest.raises(InputError, match="is not a sequence"):
         call()
 
 

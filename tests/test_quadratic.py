@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
-from helpers import fundamental_unit_box_search
+from helpers import cf_period, fundamental_unit_box_search, fundamental_unit_full_period
 from nillat.quadratic import squarefree_part
 from nillat import quadratic
 from nillat.errors import InputError, PreconditionError
@@ -63,6 +65,52 @@ def test_fundamental_unit_minimality_box():
         cf = fundamental_unit(m)
         box = fundamental_unit_box_search(m)
         assert (cf.a, cf.b) == (box.a, box.b), m
+
+
+def _is_squarefree(m):
+    return all(m % (d * d) for d in range(2, isqrt(m) + 1))
+
+
+def test_fundamental_unit_matches_full_period():
+    # half a period and one balanced product against the continuant recurrence over the whole period
+    rng = random.Random(23)
+    seeded = []
+    while len(seeded) < 100:
+        m = rng.randrange(2000, 10 ** 7)
+        if _is_squarefree(m):
+            seeded.append(m)
+    ms = [m for m in range(2, 2000) if _is_squarefree(m)] + seeded
+    shapes = set()
+    for m in ms:
+        cf, full = fundamental_unit(m), fundamental_unit_full_period(m)
+        assert (cf.a, cf.b) == (full.a, full.b), m
+        half = len(cf_period(m)) - 1  # length of the palindrome after a_0
+        shapes.add((m % 4 == 1, half if half < 2 else "even" if half % 2 == 0 else "odd"))
+    assert shapes == {(r, s) for r in (False, True) for s in (0, 1, "odd", "even")}
+
+
+def _squarefree_by_squares(n):
+    """n divided by d^2 for every d >= 2 whose square still divides it."""
+    s, d = abs(n), 2
+    while d * d <= s:
+        while s % (d * d) == 0:
+            s //= d * d
+        d += 1
+    return s if n > 0 else -s
+
+
+def test_squarefree_part_matches_division_by_squares():
+    # k q^2 and k q1 q2 with each prime above |n|^(1/3): the trial division stops at p^3 > what is left
+    # and finds a cofactor of two large primes
+    rng = random.Random(29)
+    primes = [q for q in range(500, 1000) if all(q % d for d in range(2, isqrt(q) + 1))]
+    ns = [1, -1, 2, -4, 8, 27 * 8, 2 ** 20, -(3 ** 7)] + [rng.randint(-10 ** 8, 10 ** 8) or 1 for _ in range(60)]
+    for _ in range(40):
+        k, q1, q2 = rng.choice((1, -1)) * rng.randint(1, 30), rng.choice(primes), rng.choice(primes)
+        assert min(q1, q2) ** 3 > abs(k * q1 * q2)
+        ns += [k * q1 * q1, k * q1 * q2, k * q1 * q2 * q2]
+    for n in ns:
+        assert squarefree_part(n) == _squarefree_by_squares(n), n
 
 
 def test_torsion_groups():

@@ -51,7 +51,10 @@ of the wall time in ms:
   and on a dim-6 algebra of class 4 (the algebras of the tests): three
   moment maps and one coadjoint series over the degree-4 group product;
 - `left_symmetric_product` on the filiform algebra of dim 2n with its
-  canonical form, n = 2..6 (dim 4..12).
+  canonical form, n = 2..6 (dim 4..12);
+- `fundamental_unit` on 4 seeded squarefree m of 3, 6, 9 and 10 digits
+  (10 digits: m < 2*10^9, the exact-decisions range) in each residue
+  class m = 1, 2, 3 (mod 4), one call per m.
 
 dim Z^2 (or the certificate kind, the kernel dimension, the radical and
 socle dimensions, the series dimensions, or a digest of the system, of the
@@ -105,7 +108,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from outputs import filiform_pairs, flat_cases, six_dim_complement
+from outputs import filiform_pairs, flat_cases, seeded_squarefree, six_dim_complement
 
 REPEATS = 5
 ROUNDS = 3
@@ -126,7 +129,8 @@ WHAT = ("layer ladder of the Z^2 solve: cocycle_space on H_1(Q[x]/x^j), j=2..8, 
         "anosov.char_poly_pair and anosov.is_anosov on seeded unimodular 3x3 matrices; of the subspace layer: complement_basis of a "
         "seeded basis of n//2 vectors in Q^n, n=2..12; of the moment map: moment_cocycle_identity_holds on the "
         "filiform algebra of dim 4, t*H_1 and a class-4 algebra of dim 6; and left_symmetric_product on the "
-        "filiform algebra of dim 2n with its canonical form, n=2..6; wall time in ms")
+        "filiform algebra of dim 2n with its canonical form, n=2..6; of the unit group: fundamental_unit on 4 seeded "
+        "squarefree m of 3, 6, 9 and 10 digits in each class mod 4; wall time in ms")
 
 
 def _time(fn):
@@ -184,6 +188,7 @@ def rungs() -> list[tuple[dict, object, object]]:
     from nillat.liealg import (LieAlgebra, filiform_algebra, heisenberg_algebra, semidirect_coadjoint,
                                six_dim_quadratic_structure)
     from nillat.matrix import Matrix, complement_basis
+    from nillat.quadratic import fundamental_unit
     from nillat.symplectic import (double_theta_check, filiform_cocycle, flat_symplectic_structure, inverse_bivector,
                                    moment_cocycle_identity_holds)
 
@@ -303,6 +308,13 @@ def rungs() -> list[tuple[dict, object, object]]:
                      "dim": 2 * half},
                     lambda L=L, form=form: left_symmetric_product(L, form),
                     lambda table: {"table": _digest([[[str(x) for x in v] for v in row] for row in table])}))
+    for digits in (3, 6, 9, 10):
+        for residue in (1, 2, 3):
+            ms = seeded_squarefree(random.Random(100 * digits + residue), 10 ** (digits - 1),
+                                   min(10 ** digits, 2 * 10 ** 9), 4, residue)
+            out.append(({"op": "fundamental_unit", "algebra": f"{digits}-digit m = {residue} (mod 4)", "m": ms},
+                        lambda ms=ms: [fundamental_unit(m) for m in ms],
+                        lambda units: {"answer": _digest([[f"{u.a:x}", f"{u.b:x}"] for u in units])}))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Exact outputs of the commutative-algebra, Heisenberg, centre, integer-lattice, matrix and Anosov paths, on one checkout or a pair.
+"""Exact outputs of the commutative-algebra, Heisenberg, centre, integer-lattice, matrix, Anosov and quadratic paths, on one checkout or a pair.
 
     python3 tools/outputs.py [CHECKOUT]
     python3 tools/outputs.py PARENT CHANGE
@@ -64,7 +64,15 @@ library answers on a fixed, seeded corpus:
   `has_unit_circle_root` on 80 seeded integer polynomials, some times a
   cyclotomic factor and some times a reciprocal pair off the circle, and
   on zero, constant and monomial ones; an error answers with its class
-  and message.
+  and message;
+- `fundamental_unit` and `unit_group` on every m in [-12, 60) and on 12
+  seeded squarefree m in each of the exact-decisions workload's ranges
+  [2, 10^3), [10^3, 10^6) and [10^6, 2*10^9), with `unit_exponent` of
+  eps^2, -eps^-1, 1 and 2 for each real m (unit coordinates in hex); and `squarefree_part` on 0,
+  +-1, seeded signed integers up to 10^12, and seeded k*q^2 and k*q1*q2
+  (k small, q, q1, q2 primes above the cube root of the product), which
+  leave a cofactor of two large primes after the small divisors; an error
+  answers with its class and message.
 
 With two checkouts, runs each in its own process and exits 0 if the two
 documents are equal, otherwise prints every differing entry of every
@@ -515,6 +523,59 @@ def _anosov_section() -> list[dict]:
     return out
 
 
+def seeded_squarefree(rng: random.Random, lo: int, hi: int, count: int, residue: int | None = None) -> list[int]:
+    """count seeded squarefree m in [lo, hi), hi <= 2*10^9, with m = residue (mod 4) if one is given."""
+    sieve = bytearray([1]) * 44722  # p^2 > 2*10^9 past the last prime below this
+    for p in range(2, 212):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    squares = [p * p for p in range(2, len(sieve)) if sieve[p]]
+    out = []
+    while len(out) < count:
+        m = rng.randrange(lo, hi)
+        if (residue is None or m % 4 == residue) and all(m % sq for sq in squares if sq <= m):
+            out.append(m)
+    return out
+
+
+def _quadratic_section() -> list[dict]:
+    from nillat import quadratic
+    from nillat.errors import NillatError
+
+    def answer(fn, *args):
+        try:
+            x = fn(*args)
+        except NillatError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        if isinstance(x, quadratic.RingElement):  # hex: units of large m pass json's 4300-digit limit
+            return [f"{x.a:x}", f"{x.b:x}", x.ring.basis_kind]
+        if isinstance(x, quadratic.UnitGroupDesc):
+            return [x.torsion, answer(lambda: x.fundamental) if x.fundamental else None]
+        return x
+
+    rng = random.Random(43)
+    ms = list(range(-12, 60))
+    for lo, hi in ((2, 10 ** 3), (10 ** 3, 10 ** 6), (10 ** 6, 2 * 10 ** 9)):
+        ms += seeded_squarefree(rng, lo, hi, 12)
+    out = []
+    for m in ms:
+        entry = {"m": m, "fundamental_unit": answer(quadratic.fundamental_unit, m),
+                 "unit_group": answer(quadratic.unit_group, m)}
+        if isinstance(entry["fundamental_unit"], list):
+            ring, eps = quadratic.ring_of_integers(m), quadratic.fundamental_unit(m)
+            xs = (eps * eps, -eps.inverse(), quadratic.one(ring), quadratic.element(ring, 2, 0))
+            entry["unit_exponent"] = [answer(quadratic.unit_exponent, ring, x) for x in xs]
+        out.append(entry)
+    big = [p for p in range(1001, 3000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    ns = [0, 1, -1] + [rng.choice((1, -1)) * rng.randrange(2, 10 ** rng.randint(2, 12)) for _ in range(60)]
+    for _ in range(30):
+        k = rng.choice((1, -1)) * rng.randint(1, 60)
+        q1, q2 = rng.choice(big), rng.choice(big)
+        ns += [k * q1 * q1, k * q1 * q2, k * q1 * q2 * q2]
+    out += [{"n": n, "squarefree_part": answer(quadratic.squarefree_part, n)} for n in ns]
+    return out
+
+
 def six_dim_complement(rng: random.Random) -> list[list[int]]:
     """Four integer vectors of Q^6 independent of span(e5, e6), the centre of `six_dim_quadratic_structure`."""
     from nillat.matrix import Matrix
@@ -638,7 +699,7 @@ def _one(checkout: Path) -> dict:
 
     return {"commalg": _commalg_section(), "lie": _lie_section(), "symplectic": _symplectic_section(),
             "cli": _cli_section(), "errors": _error_section(), "intlattice": _intlattice_section(),
-            "matrix": _matrix_section(), "anosov": _anosov_section()}
+            "matrix": _matrix_section(), "anosov": _anosov_section(), "quadratic": _quadratic_section()}
 
 
 def _compare(parent: Path, change: Path) -> int:
