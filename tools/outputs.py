@@ -68,11 +68,12 @@ library answers on a fixed, seeded corpus:
 - `fundamental_unit` and `unit_group` on every m in [-12, 60) and on 12
   seeded squarefree m in each of the exact-decisions workload's ranges
   [2, 10^3), [10^3, 10^6) and [10^6, 2*10^9), with `unit_exponent` of
-  eps^2, -eps^-1, 1 and 2 for each real m (unit coordinates in hex); and `squarefree_part` on 0,
-  +-1, seeded signed integers up to 10^12, and seeded k*q^2 and k*q1*q2
-  (k small, q, q1, q2 primes above the cube root of the product), which
-  leave a cofactor of two large primes after the small divisors; an error
-  answers with its class and message.
+  eps^2, -eps^-1, 1 and 2 for each real m (unit coordinates in hex); and
+  `squarefree_part` on 0, +-1, seeded signed integers up to 10^12, and
+  seeded k*q^2, k*q1*q2 and k*q1*q2^2 (|k| <= 60, primes q, q1, q2 in
+  [1000, 3000)), whose first two leave a cofactor of two primes above the
+  cube root once the small divisors are gone; an error answers with its
+  class and message.
 
 With two checkouts, runs each in its own process and exits 0 if the two
 documents are equal, otherwise prints every differing entry of every
@@ -550,7 +551,7 @@ def _quadratic_section() -> list[dict]:
         if isinstance(x, quadratic.RingElement):  # hex: units of large m pass json's 4300-digit limit
             return [f"{x.a:x}", f"{x.b:x}", x.ring.basis_kind]
         if isinstance(x, quadratic.UnitGroupDesc):
-            return [x.torsion, answer(lambda: x.fundamental) if x.fundamental else None]
+            return [x.torsion, None if x.fundamental is None else answer(lambda: x.fundamental)]
         return x
 
     rng = random.Random(43)
